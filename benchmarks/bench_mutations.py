@@ -5,10 +5,10 @@ churn, comparing two maintenance strategies over the same mutation
 stream (updates, deletes, inserts at ~1% of n, grouped into batches):
 
 * **incremental** — :meth:`QueryService.apply_mutations`: sorted-
-  insert/tombstone patching of the built inverted lists, epoch-based
-  plan invalidation, and the Lemma 1 delta test that selectively keeps
-  provably unaffected region-cache entries.  After each batch the
-  workload is re-answered (mostly cache hits).
+  insert/tombstone patching of the built inverted lists, in-place
+  patching of the resident subspace plans, and the Lemma 1 delta test
+  that selectively keeps provably unaffected region-cache entries.
+  After each batch the workload is re-answered (mostly cache hits).
 * **rebuild-per-mutation** — the naive baseline: after *every single
   mutation* the inverted lists of the serving dimensions are rebuilt
   from scratch and all cached state (plans + regions) is flushed; after
@@ -19,7 +19,9 @@ mutation stream is shared), so the comparison isolates maintenance
 strategy.  Correctness of the incremental path is enforced separately by
 ``tests/properties/test_mutation_parity.py``; this benchmark asserts the
 two pipelines return identical top-k answers at the end as a cheap
-sanity check.
+sanity check.  The incremental run also records how many plans the
+stream patched and how many it (re)built, and probes one update off a
+resident plan's signature, which must build no plan.
 
 Usage::
 
@@ -27,6 +29,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_mutations.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/bench_mutations.py --check    # fail unless
         # incremental beats rebuild-per-mutation by >= the CI gate (2x)
+        # and the off-signature update builds no plan
 
 ``--quick --check`` is the CI smoke job; the full run's acceptance bar
 is the 5x headline at n=50k, 1% churn.
@@ -131,11 +134,36 @@ def copy_dataset(data: Dataset) -> Dataset:
     return Dataset(indptr.copy(), indices.copy(), values.copy(), data.n_dims)
 
 
+def off_signature_builds(service: QueryService, workload) -> int:
+    """Plan builds caused by one update off a resident plan's signature.
+
+    Updates the dimension fewest workload signatures hold, then looks up
+    the plan of every signature without it: an untouched plan is only
+    re-stamped, so the count must be 0.
+    """
+    signatures = sorted({tuple(int(d) for d in q.dims) for q in workload})
+    dataset = service.index.dataset
+    dim = min(
+        range(dataset.n_dims), key=lambda d: sum(d in sig for sig in signatures)
+    )
+    off = [sig for sig in signatures if dim not in sig]
+    tid = next(t for t in range(dataset.n_tuples) if t not in dataset.deleted_ids)
+    plans = service.index.plans
+    for signature in off:
+        plans.plan_for(signature)
+    builds = plans.stats().builds
+    service.apply_mutations(MutationBatch((Mutation.update(tid, dim, 0.5),)))
+    for signature in off:
+        plans.plan_for(signature)
+    return plans.stats().builds - builds
+
+
 def run_incremental(data: Dataset, workload, batches, k: int):
     """Warm service + apply_mutations + re-answer per batch."""
     with QueryService(data, executor="sequential", topk_mode="matmul") as service:
         service.run_batch(workload, k)  # warm (not timed: both pipelines warm)
         kept = evicted = 0
+        plans_before = service.index.plans.stats()
         start = time.perf_counter()
         for batch in batches:
             stats = service.apply_mutations(batch)
@@ -143,9 +171,16 @@ def run_incremental(data: Dataset, workload, batches, k: int):
             evicted += stats.regions_evicted
             service.run_batch(workload, k)
         seconds = time.perf_counter() - start
+        plans_after = service.index.plans.stats()
         final = service.run_batch(workload, k)
         answers = [c.result.ids for c in final]
-    return seconds, answers, {"regions_kept": kept, "regions_evicted": evicted}
+        plans = {
+            "patched": plans_after.patches - plans_before.patches,
+            "rebuilt": plans_after.builds - plans_before.builds,
+            "off_signature_builds": off_signature_builds(service, workload),
+        }
+    invalidation = {"regions_kept": kept, "regions_evicted": evicted}
+    return seconds, answers, invalidation, plans
 
 
 def run_rebuild_per_mutation(data: Dataset, workload, batches, k: int):
@@ -201,7 +236,7 @@ def main(argv=None) -> int:
     incremental_data = copy_dataset(data)
     rebuild_data = copy_dataset(data)
 
-    inc_seconds, inc_answers, invalidation = run_incremental(
+    inc_seconds, inc_answers, invalidation, plans = run_incremental(
         incremental_data, workload, batches, config["k"]
     )
     reb_seconds, reb_answers = run_rebuild_per_mutation(
@@ -220,6 +255,10 @@ def main(argv=None) -> int:
         f"evicted {invalidation['regions_evicted']}, "
         f"keep rate {keep_rate:.1%})"
     )
+    print(
+        f"plans:       patched {plans['patched']}, rebuilt {plans['rebuilt']}, "
+        f"built by an off-signature update {plans['off_signature_builds']}"
+    )
     print(f"rebuild/mut: {reb_seconds:8.3f} s")
     print(f"speedup:     {speedup:8.2f}x")
 
@@ -236,7 +275,12 @@ def main(argv=None) -> int:
         "rebuild_per_mutation_seconds": reb_seconds,
         "speedup": speedup,
         "invalidation": {**invalidation, "keep_rate": keep_rate},
-        "gate": {"required_speedup": GATE_SPEEDUP, "speedup": speedup},
+        "plans": plans,
+        "gate": {
+            "required_speedup": GATE_SPEEDUP,
+            "speedup": speedup,
+            "off_signature_builds": plans["off_signature_builds"],
+        },
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
@@ -245,6 +289,13 @@ def main(argv=None) -> int:
         print(
             f"REGRESSION: incremental maintenance is only {speedup:.2f}x over "
             f"rebuild-per-mutation (gate: {GATE_SPEEDUP}x)",
+            file=sys.stderr,
+        )
+        return 1
+    if args.check and plans["off_signature_builds"]:
+        print(
+            f"REGRESSION: an update off a resident plan's signature caused "
+            f"{plans['off_signature_builds']} plan build(s) (gate: 0)",
             file=sys.stderr,
         )
         return 1

@@ -305,8 +305,10 @@ def _fused_computation(
         # out explicitly — their flat-zero lines can otherwise graze a
         # vanishing d_k line at the domain edge through division rounding.
         denoms[score_column == 0.0] = 0.0
+        # Plan rows are tuple ids, so the row range names each constraint.
         apply_batch_constraints(
-            bounds, deltas, denoms, plan.all_ids, view.dk_id, BoundKind.COMPOSITION
+            bounds, deltas, denoms, range(plan.n_tuples), view.dk_id,
+            BoundKind.COMPOSITION,
         )
         if _lower_bound_degenerate(plan, j_pos, view.dk_id, bounds.lower):
             return None

@@ -36,7 +36,9 @@ def fused_scores(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     block:
-        The plan's ``(n_tuples, qlen)`` column block ``X[:, dims]``.
+        The plan's ``(n_tuples, qlen)`` column block ``X[:, dims]``.  A
+        plan's block is the transpose of its column store, so each
+        ``block[:, j]`` read here is a contiguous column, not a copy.
     weights:
         ``(n_queries, qlen)`` weight matrix; row ``q`` holds query ``q``'s
         weights aligned with the signature dims.
@@ -52,10 +54,7 @@ def fused_scores(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     weights_arr = np.atleast_2d(np.asarray(weights, dtype=np.float64))
     out = np.zeros((weights_arr.shape[0], block_arr.shape[0]), dtype=np.float64)
     for j in range(weights_arr.shape[1]):
-        # One contiguous copy per dimension keeps the broadcasted multiply
-        # stride-1 over the n_queries passes it feeds.
-        column = np.ascontiguousarray(block_arr[:, j])
-        out += weights_arr[:, j, None] * column
+        out += weights_arr[:, j, None] * block_arr[:, j]
     return out
 
 

@@ -578,8 +578,9 @@ class CacheStats:
     evictions: int
     size: int
     capacity: int
-    #: Entries dropped by mutation-driven sweeps (see :meth:`RegionCache.sweep`),
-    #: counted separately from capacity evictions.
+    #: Entries dropped by mutation-driven sweeps (see
+    #: :meth:`RegionCache.sweep_dims`), counted separately from capacity
+    #: evictions.
     invalidations: int = 0
     #: Tier-2 hits: answers served by region membership instead of an
     #: exact key match (:attr:`hits` counts exact tier-1 hits only).
@@ -616,6 +617,10 @@ class RegionCache:
     sweep, clear — updates the region index inside the same critical
     section, so a posting is never observable without its parent entry:
     a stale region hit would be a correctness bug, not a staleness bug.
+
+    The cache also posts every computation under each dimension of its
+    query subspace, so a mutation-driven :meth:`sweep_dims` tests only
+    the entries a changed dimension can reach.
     """
 
     def __init__(self, capacity: int = 1024, track_regions: bool = True) -> None:
@@ -624,6 +629,11 @@ class RegionCache:
         self.track_regions = bool(track_regions)
         self._entries: "OrderedDict[CacheKey, RegionComputation]" = OrderedDict()
         self._index = RegionIndex()
+        #: dimension → keys of the entries whose query subspace holds it.
+        self._by_dim: Dict[int, Dict[CacheKey, None]] = {}
+        #: Per-entry scratch of :meth:`sweep_dims`' tests, dropped with
+        #: the entry.
+        self._sweep_memos: Dict[CacheKey, Dict] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -753,22 +763,41 @@ class RegionCache:
         """
         with self._lock:
             if key in self._entries:
-                del self._entries[key]
-                self._index.discard(key)
+                self._drop(key)
             self._entries[key] = computation
             # The isinstance guard is load-bearing: unit tests (and any
             # caller using the cache as a generic store) may put sentinel
             # objects that carry no sequences to index.
-            if self.track_regions and isinstance(computation, RegionComputation):
-                if computation.reuse is None:
+            if isinstance(computation, RegionComputation):
+                for dim in computation.query.dims.tolist():
+                    self._by_dim.setdefault(dim, {})[key] = None
+                if self.track_regions and computation.reuse is None:
                     self._index.add(key, computation)
             while len(self._entries) > self.capacity:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self._index.discard(evicted_key)
+                self._drop(next(iter(self._entries)))
                 self._evictions += 1
 
-    def sweep(self, keep) -> Tuple[int, int]:
-        """Drop every entry for which ``keep(computation)`` is falsy.
+    def _drop(self, key: CacheKey) -> None:
+        """Remove *key*'s entry, postings and sweep state (lock held)."""
+        computation = self._entries.pop(key)
+        self._index.discard(key)
+        self._sweep_memos.pop(key, None)
+        if isinstance(computation, RegionComputation):
+            for dim in computation.query.dims.tolist():
+                keys = self._by_dim[dim]
+                del keys[key]
+                if not keys:
+                    del self._by_dim[dim]
+
+    def sweep_dims(self, dims, keep) -> Tuple[int, int]:
+        """Drop the entries on *dims* for which ``keep(computation, memo)``
+        is falsy.
+
+        Only computations whose query subspace holds a dimension of
+        *dims* are tested — found through the dimension postings, in
+        O(matching entries) — and every other entry is kept untested.
+        *memo* is a dict the cache keeps while the entry lives and drops
+        with it, for data the test derives once per entry.
 
         The sweep is atomic with respect to :meth:`get`/:meth:`lookup`/
         :meth:`put` (the lock is held throughout — mutation-driven
@@ -781,14 +810,18 @@ class RegionCache:
         invalidations, not capacity evictions.
         """
         with self._lock:
+            candidates: Dict[CacheKey, None] = {}
+            for dim in dims:
+                candidates.update(self._by_dim.get(int(dim), {}))
             doomed = [
                 key
-                for key, computation in self._entries.items()
-                if not keep(computation)
+                for key in candidates
+                if not keep(
+                    self._entries[key], self._sweep_memos.setdefault(key, {})
+                )
             ]
             for key in doomed:
-                del self._entries[key]
-                self._index.discard(key)
+                self._drop(key)
             self._invalidations += len(doomed)
             return len(self._entries), len(doomed)
 
@@ -797,6 +830,8 @@ class RegionCache:
         with self._lock:
             self._entries.clear()
             self._index.clear()
+            self._by_dim.clear()
+            self._sweep_memos.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -27,7 +27,7 @@ The wire protocol is one JSON object per line, one JSON object back:
     computed (or cache-served) immutable regions.
 ``{"op": "mutate", "mutations": [{"kind": "update", "id": 3, "dim": 1,
 "value": 0.5}, ...]}``
-    → invalidation stats (regions kept/evicted, plans dropped).
+    → invalidation stats (regions kept/evicted, plans patched).
 ``{"op": "stats"}`` / ``{"op": "ping"}``
     → gateway counters + per-tier latency rollups / liveness.
 
@@ -269,10 +269,13 @@ class ShardedQueryService(QueryService):
 
         Behind the writer gate: route the batch through the shard router
         (global validation + per-shard replay, untouched shards keep
-        their epochs), purge stale plans globally *and* per shard, sweep
-        the region cache with the Lemma 1 delta test, and retire
-        transport workers holding pre-mutation shard snapshots (a no-op
-        for in-process transports, which read the live shards).
+        their epochs), which patches the resident plans of the global
+        index and of every touched shard in place; sweep the region
+        cache entries on the changed dimensions with the Lemma 1 delta
+        test; and retire transport workers holding pre-mutation shard
+        snapshots (a no-op for in-process transports, which read the
+        live shards).  The cost is O(changed coordinates × resident
+        plans + cache entries on the changed dimensions).
         """
         stats = ServiceStats()
         start = time.perf_counter()
@@ -280,8 +283,9 @@ class ShardedQueryService(QueryService):
         with self._gate.writing():
             if self.durability is not None:
                 self.durability.log(batch, self.index.epoch + 1)
+            patches = self.sharded.plan_patches
             applied = self.sharded.apply(batch)
-            stats.plans_dropped = self.sharded.drop_stale_plans()
+            stats.plans_patched = self.sharded.plan_patches - patches
             kept, evicted = invalidate_region_cache(
                 self.cache, applied, self.index.dataset
             )
@@ -609,14 +613,14 @@ class AsyncGateway:
         self.stats.mutations_applied += stats.mutations_applied
         self.stats.regions_kept += stats.regions_kept
         self.stats.regions_evicted += stats.regions_evicted
-        self.stats.plans_dropped += stats.plans_dropped
+        self.stats.plans_patched += stats.plans_patched
         return {
             "ok": True,
             "op": "mutate",
             "applied": stats.mutations_applied,
             "regions_kept": stats.regions_kept,
             "regions_evicted": stats.regions_evicted,
-            "plans_dropped": stats.plans_dropped,
+            "plans_patched": stats.plans_patched,
             "epoch": self.service.index.epoch,
         }
 
@@ -660,7 +664,7 @@ class AsyncGateway:
         self.stats.mutations_applied += stats.mutations_applied
         self.stats.regions_kept += stats.regions_kept
         self.stats.regions_evicted += stats.regions_evicted
-        self.stats.plans_dropped += stats.plans_dropped
+        self.stats.plans_patched += stats.plans_patched
         return {
             "ok": True,
             "op": "replicate",
@@ -843,7 +847,17 @@ class AsyncGateway:
         n_responses = 0
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # A line past the stream limit: its tail is still
+                    # unread, so the connection cannot be resynchronised.
+                    # Answer once, then close it.
+                    self.n_errors += 1
+                    reply = error_reply("BAD_REQUEST", "request_too_large", str(exc))
+                    writer.write(json.dumps(reply).encode() + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():

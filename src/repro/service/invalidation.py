@@ -32,7 +32,20 @@ query's subspace unchanged (e.g. an update of an off-subspace
 coordinate, even of a result tuple) cannot move any score line of that
 subspace and always keep the entry.
 
-Eviction is routed through :meth:`RegionCache.sweep`, which purges each
+**Indexed sweep.**  A mutation can only move score lines on the
+dimensions it changes, so :func:`invalidate_region_cache` asks the cache
+(:meth:`RegionCache.sweep_dims`) for the entries whose query subspace
+holds a changed dimension — every other entry survives untested — and
+applies to each the same rule as :func:`computation_survives`.  Per
+entry it derives once, the first time a sweep tests it, the tuple ids
+its regions name and each region's k-th line at both endpoints; both
+stay valid while the entry lives, because an entry survives only while
+no mutation moves one of those tuples within its subspace.  A sweep
+therefore costs O(entries on the changed dimensions), with no dataset
+reads for entries tested before.  :func:`computation_survives` stays as
+the reference the indexed sweep is property-tested against.
+
+Eviction is routed through :meth:`RegionCache.sweep_dims`, which purges each
 dropped entry's region-index postings inside the same critical section:
 the region tier (see :mod:`repro.service.cache`) can therefore never
 serve a membership hit from an entry this sweep has invalidated — a
@@ -44,11 +57,13 @@ Property-tested in
 judged *valid* returns the brute-force top-k of the mutated data at
 every deviation inside its regions; an *evicted* entry recomputes
 cleanly (to a possibly different region).
+``tests/properties/test_mutation_parity.py`` holds the indexed sweep's
+keep/evict decisions equal to :func:`computation_survives`'.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +85,38 @@ def _touches_structure(computation: RegionComputation, tuple_id: int) -> bool:
                 if bound.rising_id == tuple_id or bound.falling_id == tuple_id:
                     return True
     return False
+
+
+def _structure_ids(computation: RegionComputation) -> FrozenSet:
+    """Every id :func:`_touches_structure` answers ``True`` for."""
+    ids = set()
+    for sequence in computation.sequences.values():
+        for region in sequence.regions:
+            ids.update(region.result_ids)
+            for bound in (region.lower, region.upper):
+                ids.update((bound.rising_id, bound.falling_id))
+    return frozenset(ids)
+
+
+def _kth_lines(
+    computation: RegionComputation, dataset: Dataset
+) -> List[Tuple[int, float, float]]:
+    """``(j_pos, endpoint, kth_line)`` for both endpoints of every region.
+
+    The same arithmetic as :func:`computation_survives`' pass 2.
+    """
+    query = computation.query
+    dims = query.dims
+    lines: List[Tuple[int, float, float]] = []
+    for sequence in computation.sequences.values():
+        j_pos = int(np.searchsorted(dims, sequence.dim))
+        for region in sequence.regions:
+            kth_coords = dataset.values_at(region.result_ids[-1], dims)
+            kth_score = query.score(kth_coords)
+            kth_slope = float(kth_coords[j_pos])
+            for endpoint in (region.lower.delta, region.upper.delta):
+                lines.append((j_pos, endpoint, kth_score + endpoint * kth_slope))
+    return lines
 
 
 def computation_survives(
@@ -136,9 +183,50 @@ def invalidate_region_cache(
 ) -> Tuple[int, int]:
     """Selectively evict cached computations invalidated by *deltas*.
 
-    Sweeps every entry through :func:`computation_survives` and returns
-    ``(kept, evicted)`` counts.
+    Tests only the entries whose query subspace holds a changed
+    dimension (see the module notes), each by the rule of
+    :func:`computation_survives` — the decisions are identical — and
+    returns ``(kept, evicted)`` counts over the whole cache.
     """
-    return cache.sweep(
-        lambda computation: computation_survives(computation, deltas, dataset)
-    )
+    changed = {dim for delta in deltas for dim, _, _ in delta.coordinate_changes()}
+    #: dims bytes → the deltas that move a row's projection onto them,
+    #: as ``(tuple_id, old_coords, new_coords)``; shared by the entries
+    #: of one subspace.
+    moved_by_dims: Dict[bytes, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
+
+    def keep(computation: RegionComputation, memo: Dict) -> bool:
+        query = computation.query
+        dims = query.dims
+        dims_key = dims.tobytes()
+        moved = moved_by_dims.get(dims_key)
+        if moved is None:
+            moved = moved_by_dims[dims_key] = []
+            for delta in deltas:
+                old_coords = delta.coords_at(dims, new=False)
+                new_coords = delta.coords_at(dims, new=True)
+                if not np.array_equal(old_coords, new_coords):
+                    moved.append((delta.tuple_id, old_coords, new_coords))
+        if not moved:
+            return True
+        if len(computation.result) < computation.k:
+            return False
+        structure = memo.get("structure")
+        if structure is None:
+            structure = memo["structure"] = _structure_ids(computation)
+        for tuple_id, _, _ in moved:
+            if tuple_id in structure:
+                return False
+        lines = memo.get("lines")
+        if lines is None:
+            lines = memo["lines"] = _kth_lines(computation, dataset)
+        for _, old_coords, new_coords in moved:
+            old_score, new_score = query.score(old_coords), query.score(new_coords)
+            old_slopes, new_slopes = old_coords.tolist(), new_coords.tolist()
+            for j_pos, endpoint, kth_line in lines:
+                if old_score + endpoint * old_slopes[j_pos] >= kth_line:
+                    return False
+                if new_score + endpoint * new_slopes[j_pos] >= kth_line:
+                    return False
+        return True
+
+    return cache.sweep_dims(sorted(changed), keep)

@@ -33,9 +33,9 @@ on top of the single-query :class:`~repro.core.engine.ImmutableRegionEngine`:
 * **dynamic data** — :meth:`apply_mutations` applies a
   :class:`~repro.storage.mutations.MutationBatch` behind a
   readers/writer gate that drains in-flight query work first, patches
-  the inverted lists incrementally, and selectively invalidates cached
-  regions via the Lemma 1 delta test
-  (:mod:`repro.service.invalidation`);
+  the inverted lists and the resident subspace plans in place, and
+  selectively invalidates cached regions on the changed dimensions via
+  the Lemma 1 delta test (:mod:`repro.service.invalidation`);
 * **pooling** — signature groups are chunked into *batch windows* and run
   through a ``concurrent.futures`` executor: ``"thread"`` (default; the
   engines share the in-process index and plans) or ``"process"`` (each
@@ -484,19 +484,22 @@ class QueryService:
         before any new one starts — it:
 
         1. routes the batch through :meth:`InvertedIndex.apply`
-           (incremental list patching + epoch bump);
-        2. eagerly purges subspace plans built against the old epoch;
-        3. sweeps the region cache through the delta test of
-           :mod:`repro.service.invalidation` — entries whose regions
-           provably survive the touched tuples' score-line moves stay
-           cached, the rest are evicted;
-        4. for the process executor, retires the worker pool (workers
+           (incremental list patching, in-place patching of resident
+           subspace plans, epoch bump);
+        2. sweeps the region cache through the delta test of
+           :mod:`repro.service.invalidation` — only entries whose
+           subspace holds a changed dimension are tested; those whose
+           regions provably survive the touched tuples' score-line
+           moves stay cached, the rest are evicted;
+        3. for the process executor, retires the worker pool (workers
            hold pre-mutation index copies; the next batch respawns them
            against the mutated dataset).
 
-        Returns a :class:`ServiceStats` carrying the invalidation stats
+        The cost is O(changed coordinates × resident plans + cache
+        entries on the changed dimensions).  Returns a
+        :class:`ServiceStats` carrying the invalidation stats
         (``mutations_applied``, ``regions_kept``/``regions_evicted``,
-        ``plans_dropped``) and the wall time of the whole step.
+        ``plans_patched``) and the wall time of the whole step.
         """
         stats = ServiceStats()
         start = time.perf_counter()
@@ -507,8 +510,9 @@ class QueryService:
                 # any state changes, so a crash after this point replays
                 # it and a crash before it never acknowledged anything.
                 self.durability.log(batch, self.index.epoch + 1)
+            patches = self.index.plans.stats().patches
             applied = self.index.apply(batch)
-            stats.plans_dropped = self.index.plans.drop_stale()
+            stats.plans_patched = self.index.plans.stats().patches - patches
             kept, evicted = invalidate_region_cache(
                 self.cache, applied, self.index.dataset
             )

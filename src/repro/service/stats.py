@@ -172,8 +172,9 @@ class ServiceStats:
     regions_kept, regions_evicted:
         Outcome of the delta-aware region-cache sweep: entries that
         survived the Lemma 1 half-space test vs entries invalidated.
-    plans_dropped:
-        Subspace plans purged because the mutation outdated their epoch.
+    plans_patched:
+        Resident subspace plans whose cells a mutation batch changed in
+        place (plans off the changed dimensions are only re-stamped).
     deadline_hits, degraded_responses:
         Failure-path traffic: requests answered with a structured
         ``DEADLINE_EXCEEDED`` / ``DEGRADED`` error instead of a result.
@@ -209,7 +210,7 @@ class ServiceStats:
     mutations_applied: int = 0
     regions_kept: int = 0
     regions_evicted: int = 0
-    plans_dropped: int = 0
+    plans_patched: int = 0
     deadline_hits: int = 0
     degraded_responses: int = 0
     shard_retries: int = 0
@@ -432,7 +433,7 @@ class ServiceStats:
                 "applied": self.mutations_applied,
                 "regions_kept": self.regions_kept,
                 "regions_evicted": self.regions_evicted,
-                "plans_dropped": self.plans_dropped,
+                "plans_patched": self.plans_patched,
             },
             "failures": {
                 "deadline_hits": self.deadline_hits,
@@ -481,7 +482,7 @@ class ServiceStats:
                 f"mutations: {self.mutations_applied} applied in "
                 f"{self.mutation_batches} batch(es); regions kept "
                 f"{self.regions_kept}, evicted {self.regions_evicted}; "
-                f"plans dropped {self.plans_dropped}"
+                f"plans patched {self.plans_patched}"
             )
         if (
             self.deadline_hits

@@ -23,8 +23,8 @@ from .durability import (
 from .index import InvertedIndex
 from .inverted_list import InvertedList, ListCursor
 from .mutations import AppliedMutation, Mutation, MutationBatch
-from .plan import PlanCacheStats, SubspacePlan, SubspacePlanCache
-from .sharded import IndexShard, ShardSignatureStats, ShardedIndex
+from .plan import PlanCacheStats, SubspacePlan, SubspacePlanCache, ZoneStats
+from .sharded import IndexShard, ShardedIndex
 from .tuple_store import TupleStore
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Mutation",
     "MutationBatch",
     "PlanCacheStats",
-    "ShardSignatureStats",
     "ShardedIndex",
     "SnapshotStore",
     "SubspacePlan",
@@ -50,4 +49,5 @@ __all__ = [
     "dump_atlas",
     "load_atlas",
     "read_atlas_info",
+    "ZoneStats",
 ]

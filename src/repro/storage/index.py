@@ -16,7 +16,7 @@ import numpy as np
 from ..datasets.base import Dataset
 from ..errors import StorageError
 from .inverted_list import InvertedList, ListCursor
-from .plan import SubspacePlanCache
+from .plan import CellChanges, SubspacePlanCache
 
 __all__ = ["InvertedIndex"]
 
@@ -42,6 +42,7 @@ class InvertedIndex:
         self._plans: Optional[SubspacePlanCache] = None
         self._plans_lock = threading.Lock()
         self._epoch = dataset.epoch
+        self._write_seq = 0
 
     @property
     def dataset(self) -> Dataset:
@@ -50,13 +51,24 @@ class InvertedIndex:
 
     @property
     def epoch(self) -> int:
-        """The dataset epoch this index's built lists reflect.
+        """The dataset epoch this index's built lists and plans reflect.
 
-        Kept in lockstep with ``dataset.epoch`` by :meth:`apply`; derived
-        caches (subspace plans, the service's region cache) key their
-        freshness on it.
+        Kept in lockstep with ``dataset.epoch`` by :meth:`apply`; plans
+        carry it as a stamp, and the service's region cache keys its
+        entries on it.
         """
         return self._epoch
+
+    @property
+    def write_seq(self) -> int:
+        """Write sequence number: odd while :meth:`apply` or :meth:`refresh`
+        runs, advanced twice by each.
+
+        A plan build that read an even value and still reads the same one
+        when it finishes overlapped no write (see
+        :meth:`SubspacePlanCache.plan_for`).
+        """
+        return self._write_seq
 
     @property
     def n_dims(self) -> int:
@@ -64,19 +76,27 @@ class InvertedIndex:
         return self._dataset.n_dims
 
     def apply(self, batch) -> list:
-        """Apply a mutation batch to the dataset *and* the built lists.
+        """Apply a mutation batch to the dataset, the built lists and the plans.
 
         Each built inverted list is patched incrementally — canonical
         sorted-insert for new coordinates, lazy tombstones for removed
         ones — instead of being rebuilt; unbuilt lists simply build from
         the mutated dataset on first touch.  The index epoch advances to
-        the dataset's, which lazily invalidates cached
-        :class:`~repro.storage.plan.SubspacePlan` objects (see
-        :meth:`SubspacePlanCache.plan_for`).
+        the dataset's, and every resident
+        :class:`~repro.storage.plan.SubspacePlan` is carried to it in
+        place (see :meth:`SubspacePlanCache.advance`): grown by any
+        inserted rows, then re-stamped when no changed coordinate lies on
+        its signature and cell-patched otherwise.  The cost is
+        O(changed coordinates × (list patch + resident plans)).
 
-        Must not run concurrently with scans over this index; the service
-        layer (:meth:`repro.service.QueryService.apply_mutations`)
-        serialises mutations against in-flight query windows.
+        Must not run concurrently with readers of this index (scans,
+        plan lookups): lists and plans change in place.  The service
+        layer (:meth:`repro.service.QueryService.apply_mutations`) holds
+        its writer gate around this call, and recovery replays before
+        serving.  A reader the gate does not cover (a timed-out
+        supervised shard call still running) gets a discarded answer and
+        leaves no stale plan behind: :attr:`write_seq` keeps a plan build
+        that overlapped this call out of the cache.
 
         Returns the per-mutation
         :class:`~repro.storage.mutations.AppliedMutation` deltas.
@@ -88,17 +108,29 @@ class InvertedIndex:
                     "be routed through InvertedIndex.apply (or call "
                     "refresh() after mutating the dataset directly)"
                 )
-            applied = self._dataset.apply(batch)
-            for delta in applied:
-                for dim, old_v, new_v in delta.coordinate_changes():
-                    inverted = self._lists.get(dim)
-                    if inverted is None:
-                        continue
-                    if old_v is not None:
-                        inverted.remove_entry(delta.tuple_id, old_v)
-                    if new_v is not None:
-                        inverted.insert_entry(delta.tuple_id, new_v)
-            self._epoch = self._dataset.epoch
+            self._write_seq += 1
+            try:
+                applied = self._dataset.apply(batch)
+                changes: CellChanges = {}
+                for delta in applied:
+                    for dim, old_v, new_v in delta.coordinate_changes():
+                        changes.setdefault(dim, []).append(
+                            (delta.tuple_id, 0.0 if new_v is None else new_v)
+                        )
+                        inverted = self._lists.get(dim)
+                        if inverted is None:
+                            continue
+                        if old_v is not None:
+                            inverted.remove_entry(delta.tuple_id, old_v)
+                        if new_v is not None:
+                            inverted.insert_entry(delta.tuple_id, new_v)
+                from_epoch, self._epoch = self._epoch, self._dataset.epoch
+                if self._plans is not None:
+                    self._plans.advance(
+                        from_epoch, self._epoch, self._dataset.n_tuples, changes
+                    )
+            finally:
+                self._write_seq += 1
         return applied
 
     def restore_epoch(self, epoch: int) -> None:
@@ -125,10 +157,14 @@ class InvertedIndex:
         it patches in place.
         """
         with self._build_lock:
-            self._lists.clear()
-            self._epoch = self._dataset.epoch
-        if self._plans is not None:
-            self._plans.clear()
+            self._write_seq += 1
+            try:
+                self._lists.clear()
+                self._epoch = self._dataset.epoch
+                if self._plans is not None:
+                    self._plans.clear()
+            finally:
+                self._write_seq += 1
 
     @property
     def plans(self) -> SubspacePlanCache:
@@ -205,6 +241,7 @@ class InvertedIndex:
         self._build_lock = threading.Lock()
         self._plans_lock = threading.Lock()
         self._plans = None
+        self._write_seq = 0
         if "_epoch" not in self.__dict__:
             # Pickles from before versioning carry no epoch field.
             self._epoch = self._dataset.epoch

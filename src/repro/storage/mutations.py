@@ -15,9 +15,9 @@ A :class:`MutationBatch` groups three kinds of :class:`Mutation`:
 
 Applying a batch through :meth:`~repro.datasets.base.Dataset.apply` (or
 :meth:`~repro.storage.index.InvertedIndex.apply`, which additionally
-patches the built inverted lists) bumps the container's *epoch* — the
-version counter every derived cache (subspace plans, region cache) keys
-its freshness on — and returns one :class:`AppliedMutation` delta per
+patches the built inverted lists and the resident subspace plans) bumps
+the container's *epoch* — the version counter plans and cached region
+computations are stamped with — and returns one :class:`AppliedMutation` delta per
 mutation.  The delta carries the touched row's sparse contents before and
 after the change: exactly what the service layer's delta-aware region
 invalidation (:mod:`repro.service.invalidation`) needs to decide which

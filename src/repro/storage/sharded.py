@@ -7,7 +7,7 @@ owns a full storage stack over its slice — its own
 :class:`~repro.storage.plan.SubspacePlanCache`), its own
 :class:`~repro.storage.tuple_store.TupleStore`, and its own epoch counter
 — so per-shard work (plan builds, TA runs, fused sweeps) touches only
-``n/S`` rows and per-shard mutations invalidate only the touched shard's
+``n/S`` rows and per-shard mutations patch only the touched shard's
 derived state.
 
 Row ranges are *contiguous and ascending*: shard ``s`` owns global tuple
@@ -25,22 +25,23 @@ the service's region cache keys its delta-aware invalidation on the
 global epoch.  :meth:`ShardedIndex.apply` routes one
 :class:`~repro.storage.mutations.MutationBatch` through the global index
 first (validation + atomicity + applied deltas) and then replays each
-mutation on its owning shard in local coordinates; untouched shards keep
-their epoch, so their plans and zone statistics stay warm.
+mutation on its owning shard in local coordinates.  Each index on the
+way patches its resident plans in place (see :mod:`repro.storage.plan`);
+untouched shards keep their epoch and their plans untouched.
 
-Per-signature **zone statistics** (:meth:`IndexShard.signature_stats`)
-are the shard-level pruning substrate: the per-dimension coordinate
-maxima/minima over the shard's rows bound — in exact IEEE-754 arithmetic,
-see :mod:`repro.core.distributed` — every score and every Lemma 1
-crossing the shard can produce, which is what lets the distributed path
-skip whole shards without ever diverging from the oracle.
+Per-signature **zone statistics** (:meth:`IndexShard.signature_stats`,
+a :class:`~repro.storage.plan.ZoneStats` kept by the shard's plan) are
+the shard-level pruning substrate: the per-dimension coordinate
+maxima/minima over the shard's rows bound — in exact IEEE-754
+arithmetic, see :mod:`repro.core.distributed` — every score and every
+Lemma 1 crossing the shard can produce, which is what lets the
+distributed path skip whole shards without ever diverging from the
+oracle.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,31 +51,10 @@ from ..datasets.base import Dataset
 from ..metrics.counters import AccessCounters
 from .index import InvertedIndex
 from .mutations import Mutation, MutationBatch
-from .plan import signature_of
+from .plan import ZoneStats, signature_of
 from .tuple_store import TupleStore
 
-__all__ = ["IndexShard", "ShardSignatureStats", "ShardedIndex"]
-
-
-@dataclass(frozen=True)
-class ShardSignatureStats:
-    """Zone statistics of one shard for one dims signature.
-
-    ``maxima[j]`` / ``minima[j]`` bound the shard's stored coordinates on
-    the signature's j-th dimension (zeros included — absent coordinates
-    read as 0.0, exactly as the plan block stores them).  ``n_positive``
-    counts rows with at least one non-zero signature coordinate (the
-    shard's contribution to any query's candidate universe on this
-    signature), ``nnz_ge2_total`` those with at least two (the CL-union
-    contribution).  All four are query-independent and cached per shard
-    epoch.
-    """
-
-    maxima: np.ndarray
-    minima: np.ndarray
-    n_positive: int
-    nnz_ge2_total: int
-    n_rows: int
+__all__ = ["IndexShard", "ShardedIndex"]
 
 
 def _slice_dataset(dataset: Dataset, start: int, stop: int) -> Dataset:
@@ -106,8 +86,6 @@ class IndexShard:
         self.index = InvertedIndex(dataset)
         self._store: Optional[TupleStore] = None
         self._store_counters = AccessCounters()
-        self._stats: Dict[Tuple[int, ...], Tuple[int, ShardSignatureStats]] = {}
-        self._stats_lock = threading.Lock()
 
     @property
     def n_rows(self) -> int:
@@ -135,44 +113,24 @@ class IndexShard:
         """Translate a global tuple id into this shard's id space."""
         return int(global_id) - self.start
 
-    def signature_stats(self, dims) -> ShardSignatureStats:
-        """Zone statistics for *dims*' signature (cached per shard epoch).
+    def signature_stats(self, dims) -> ZoneStats:
+        """Zone statistics for *dims*' signature, from the shard's plan.
 
-        Derived from the shard's own subspace plan, so the first call per
-        (signature, epoch) also warms the plan every later per-shard
-        kernel call reuses.
+        The first call per signature builds (and warms) the plan every
+        later per-shard kernel call reuses; writes keep its statistics
+        exact in place, and the returned object only changes when they
+        do.
         """
-        signature = signature_of(dims)
-        epoch = self.index.epoch
-        with self._stats_lock:
-            cached = self._stats.get(signature)
-            if cached is not None and cached[0] == epoch:
-                return cached[1]
         if self.n_rows == 0:
-            qlen = len(signature)
-            stats = ShardSignatureStats(
+            qlen = len(signature_of(dims))
+            return ZoneStats(
                 maxima=np.zeros(qlen, dtype=np.float64),
                 minima=np.zeros(qlen, dtype=np.float64),
                 n_positive=0,
                 nnz_ge2_total=0,
                 n_rows=0,
             )
-        else:
-            plan = self.index.plans.plan_for(signature)
-            maxima = plan.block.max(axis=0)
-            minima = plan.block.min(axis=0)
-            maxima.setflags(write=False)
-            minima.setflags(write=False)
-            stats = ShardSignatureStats(
-                maxima=maxima,
-                minima=minima,
-                n_positive=int(np.count_nonzero(plan.nnz_rows >= 1)),
-                nnz_ge2_total=int(plan.nnz_ge2_total),
-                n_rows=int(plan.n_tuples),
-            )
-        with self._stats_lock:
-            self._stats[signature] = (epoch, stats)
-        return stats
+        return self.index.plans.plan_for(dims).zone
 
     def __repr__(self) -> str:
         return (
@@ -286,8 +244,9 @@ class ShardedIndex:
         drive the shard router: deletes/updates replay on the owning
         shard in local coordinates, inserts append to the last shard
         (whose open range keeps local ids equal to ``global − start``).
-        Only the touched shards' epochs advance; every other shard's
-        plans and zone statistics stay valid and warm.
+        Every index the batch reaches patches its resident plans and
+        their zone statistics in place; only the touched shards' epochs
+        advance, and every other shard's plans stay as they are.
 
         Must not run concurrently with scans (same contract as
         :meth:`InvertedIndex.apply`); the service layer holds its writer
@@ -324,12 +283,11 @@ class ShardedIndex:
             self.shards[sid].index.apply(MutationBatch(tuple(mutations)))
         return applied
 
-    def drop_stale_plans(self) -> int:
-        """Eagerly purge outdated plans on the global index and every shard."""
-        dropped = self._index.plans.drop_stale()
-        for shard in self.shards:
-            dropped += shard.index.plans.drop_stale()
-        return dropped
+    @property
+    def plan_patches(self) -> int:
+        """Plans patched in place so far, over the global index and every shard."""
+        indexes = [self._index] + [shard.index for shard in self.shards]
+        return sum(index.plans.stats().patches for index in indexes)
 
     def __repr__(self) -> str:
         sizes = ", ".join(str(shard.n_rows) for shard in self.shards)

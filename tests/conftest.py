@@ -77,3 +77,36 @@ def random_query(
     dims = sorted(rng.choice(eligible, size=qlen, replace=False).tolist())
     weights = rng.uniform(0.2, 0.9, size=qlen)
     return Query(dims, weights)
+
+
+def assert_plan_matches_build(plan, index) -> None:
+    """*plan* (patched in place) is bit-identical to a fresh build on *index*.
+
+    Compares the epoch, the column store, ``block``, ``nnz_rows`` (values
+    and dtype), the zone statistics, and every rank array *plan* has
+    built so far.
+    """
+    from repro.storage.plan import SubspacePlan
+
+    fresh = SubspacePlan(index, plan.signature)
+    assert plan.epoch == fresh.epoch == index.epoch
+    assert plan.n_tuples == fresh.n_tuples
+    for j in range(plan.qlen):
+        assert np.array_equal(plan.column(j), fresh.column(j))
+        assert plan.column(j).flags["C_CONTIGUOUS"]
+    assert np.array_equal(plan.block, fresh.block)
+    assert plan.nnz_rows.dtype == fresh.nnz_rows.dtype
+    assert np.array_equal(plan.nnz_rows, fresh.nnz_rows)
+    assert plan.nnz_ge2_total == fresh.nnz_ge2_total
+    ours, theirs = plan.zone, fresh.zone
+    assert np.array_equal(ours.maxima, theirs.maxima)
+    assert np.array_equal(ours.minima, theirs.minima)
+    assert (ours.n_positive, ours.nnz_ge2_total, ours.n_rows) == (
+        theirs.n_positive,
+        theirs.nnz_ge2_total,
+        theirs.n_rows,
+    )
+    for j in list(plan._asc_ranks):
+        assert np.array_equal(plan.asc_rank(j), fresh.asc_rank(j))
+    for j in list(plan._desc_ranks):
+        assert np.array_equal(plan.desc_rank(j), fresh.desc_rank(j))

@@ -2,13 +2,17 @@
 
 The dynamic-data subsystem promises that after *any* sequence of
 mutation batches, the incrementally maintained state — overlay rows,
-patched columns, sorted-insert/tombstoned inverted lists, epoch-refreshed
-subspace plans — is **bit-identical** to an index built from scratch on
-:meth:`Dataset.compacted` (the same live rows re-packed into fresh CSR).
+patched columns, sorted-insert/tombstoned inverted lists, subspace
+plans patched in place — is **bit-identical** to an index built from
+scratch on :meth:`Dataset.compacted` (the same live rows re-packed into
+fresh CSR).
 
-These tests hold that promise at every level: raw storage arrays, the
-single-query engine on both backends and all four methods, the fused
-``compute_many`` modes, and the cached :class:`QueryService` route.
+These tests hold that promise at every level: raw storage arrays,
+subspace plans patched in place (global and per shard), the single-query
+engine on both backends and all four methods, the fused ``compute_many``
+modes, the cached :class:`QueryService` route, and the
+dimension-indexed region-cache sweep against its reference rule
+:func:`~repro.service.invalidation.computation_survives`.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ from repro import (
     Query,
     QueryService,
 )
+from repro.service.cache import region_cache_key
+from repro.service.invalidation import computation_survives, invalidate_region_cache
+from repro.storage.sharded import ShardedIndex
+
+from ..conftest import assert_plan_matches_build
 
 SETTINGS = dict(
     max_examples=15,
@@ -212,6 +221,90 @@ def test_storage_state_matches_rebuild(case):
             assert patched.position_of(tid) == built.position_of(tid)
     for ours, theirs in zip(dataset.csr_arrays, fresh_data.csr_arrays):
         assert np.array_equal(ours, theirs)
+
+
+def plan_signatures(m: int):
+    """One signature the changes often miss, one they often hit, one they
+    always hit (every update lands on it)."""
+    return [(0, 1), (m - 1,), tuple(range(m))]
+
+
+def plan_indexes(target):
+    """Every index whose plans *target* keeps: itself, or global + shards."""
+    if isinstance(target, ShardedIndex):
+        return [target.index] + [s.index for s in target.shards if s.n_rows]
+    return [target]
+
+
+@pytest.mark.parametrize("n_shards", [None, 3])
+@given(case=mutation_case())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_resident_plans_match_fresh_builds(case, n_shards):
+    """After every batch, each resident plan equals a fresh build bit for
+    bit, and every batch keeps every plan object and builds nothing:
+    plans are grown, patched or re-stamped, never rebuilt."""
+    seed, n, m, density, batch_sizes, op_codes, _ = case
+    dataset = build_dataset(seed, n, m, density)
+    target = (
+        InvertedIndex(dataset) if n_shards is None else ShardedIndex(dataset, n_shards)
+    )
+    signatures = plan_signatures(m)
+    rng = np.random.default_rng(seed + 1)
+    consumed = 0
+    for size in batch_sizes:
+        resident = {}
+        for index in plan_indexes(target):
+            for signature in signatures:
+                plan = index.plans.plan_for(signature)
+                plan.asc_rank(0)
+                plan.desc_rank(plan.qlen - 1)
+                resident[id(index), signature] = plan
+        builds = [index.plans.stats().builds for index in plan_indexes(target)]
+        batch = make_batch(rng, dataset, op_codes[consumed : consumed + size])
+        consumed += size
+        target.apply(batch)
+        for index in plan_indexes(target):
+            for signature in signatures:
+                plan = index.plans.peek(signature)
+                assert plan is resident[id(index), signature]
+                assert_plan_matches_build(plan, index)
+        assert [index.plans.stats().builds for index in plan_indexes(target)] == builds
+
+
+@given(case=mutation_case(max_n=40), phi=st.integers(0, 1))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_indexed_sweep_keeps_what_computation_survives_keeps(case, phi):
+    """The dimension-indexed sweep's keep/evict decisions equal the
+    reference rule's, batch after batch (so its per-entry data, derived
+    on an entry's first test, stays valid while the entry lives)."""
+    seed, n, m, density, batch_sizes, op_codes, k = case
+    dataset = build_dataset(seed, n, m, density)
+    index = InvertedIndex(dataset)
+    rng = np.random.default_rng(seed + 1)
+    with QueryService(index, executor="sequential", reuse="region") as service:
+        cache = service.cache
+        keys = {}
+        consumed = 0
+        for size in batch_sizes:
+            # Fresh entries at every epoch; the second k gives a short
+            # result (fewer positive tuples than k).
+            for kk in (k, k, dataset.n_tuples + 1):
+                query = draw_query(rng, dataset, max_qlen=3)
+                service.execute(query, kk, phi=phi)
+                keys[region_cache_key(query, kk, phi, service.method)] = query
+            before = {key: cache.peek(key) for key in keys}
+            before = {key: comp for key, comp in before.items() if comp is not None}
+            batch = make_batch(rng, dataset, op_codes[consumed : consumed + size])
+            consumed += size
+            applied = index.apply(batch)
+            expected = {
+                key
+                for key, computation in before.items()
+                if computation_survives(computation, applied, dataset)
+            }
+            kept, evicted = invalidate_region_cache(cache, applied, dataset)
+            assert {key for key in before if key in cache} == expected
+            assert (kept, evicted) == (len(expected), len(before) - len(expected))
 
 
 @pytest.mark.parametrize("method", METHODS)

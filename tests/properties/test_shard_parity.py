@@ -169,9 +169,7 @@ def test_parity_under_interleaved_mutations(case):
                 )
             )
             sharded.apply(mutations)
-            sharded.drop_stale_plans()
             oracle.index.apply(mutations)
-            oracle.index.plans.drop_stale()
             assert sharded.epoch == oracle.index.epoch
     finally:
         engine.close()

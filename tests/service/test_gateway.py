@@ -493,6 +493,42 @@ class TestServerRoundTrip:
         finally:
             service.close()
 
+    def test_oversized_line_gets_structured_reply_and_close(self):
+        service = make_service()
+        gateway = AsyncGateway(service, k=5)
+
+        async def exchange(host, port, payload: bytes, hang_up: bool):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(payload)
+            await writer.drain()
+            reply = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            if hang_up:  # expect the server to close: EOF, not a hang
+                assert await asyncio.wait_for(reader.read(), 10) == b""
+            writer.close()
+            await writer.wait_closed()
+            return reply
+
+        async def run():
+            host, port = await gateway.start("127.0.0.1", 0)
+            try:
+                big = b'{"op": "ping", "pad": "' + b"x" * 70 * 1024 + b'"}\n'
+                too_large = await exchange(host, port, big, hang_up=True)
+                query = json.dumps(
+                    {"op": "query", "dims": [0, 2, 4], "weights": [0.7, 0.3, 0.5]}
+                ).encode()
+                served = await exchange(host, port, query + b"\n", hang_up=False)
+                return too_large, served
+            finally:
+                await gateway.stop()
+
+        try:
+            reply, answer = asyncio.run(run())
+        finally:
+            service.close()
+        assert reply["ok"] is False and reply["code"] == "BAD_REQUEST"
+        assert reply["error"] == "request_too_large"
+        assert answer["ok"] and answer["tier"] == "computed"
+
 
 def test_cli_self_test(capsys):
     from repro.cli import main

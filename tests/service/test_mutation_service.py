@@ -1,11 +1,12 @@
 """Service-level dynamic-data tests.
 
 Covers :meth:`QueryService.apply_mutations` (delta-aware region-cache
-invalidation, stats reporting, plan purging), :meth:`QueryService.submit`,
-and the concurrency contract: mutations racing query submission across
-the thread and process executors never yield torn reads — every returned
-computation carries the epoch it ran under, and its result equals the
-brute-force top-k of *exactly that* dataset version.
+invalidation, stats reporting, in-place plan patching),
+:meth:`QueryService.submit`, and the concurrency contract: mutations
+racing query submission across the thread and process executors never
+yield torn reads — every returned computation carries the epoch it ran
+under, and its result equals the brute-force top-k of *exactly that*
+dataset version.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro import (
     QueryService,
     brute_force_topk,
 )
+
+from ..conftest import assert_plan_matches_build
 
 N, M, K = 120, 5, 5
 
@@ -55,13 +58,19 @@ class TestApplyMutations:
             service.run_batch(workload(rng), K)
             cached_before = len(service.cache)
             assert cached_before > 0
+            plan = service.index.plans.peek([0, 1, 2])
+            assert plan is not None
             stats = service.apply_mutations(
                 MutationBatch((far_from_boundary_update(dataset),))
             )
             assert stats.mutation_batches == 1
             assert stats.mutations_applied == 1
             assert stats.regions_kept + stats.regions_evicted == cached_before
-            assert stats.plans_dropped >= 1
+            # The update lands on dim 0: the [0, 1, 2] plan is patched in
+            # place to what a fresh build would hold; [2, 3, 4] is not.
+            assert stats.plans_patched == 1
+            assert service.index.plans.peek([0, 1, 2]) is plan
+            assert_plan_matches_build(plan, service.index)
             assert stats.wall_seconds > 0.0
             assert "mutations" in stats.as_dict()
             assert "applied in 1 batch(es)" in stats.render()

@@ -198,7 +198,9 @@ class TestSweepInteraction:
                 service.execute(q, K)
             before = service.cache.stats()
             assert before.postings > 0
-            kept, dropped = service.cache.sweep(lambda comp: False)
+            kept, dropped = service.cache.sweep_dims(
+                range(dataset.n_dims), lambda comp, memo: False
+            )
             assert (kept, dropped) == (0, 3)
             after = service.cache.stats()
             assert after.postings == 0
@@ -214,7 +216,9 @@ class TestSweepInteraction:
             q_drop = Query([1, 2], [0.5, 0.6])
             keep_comp = service.execute(q_keep, K)
             service.execute(q_drop, K)
-            service.cache.sweep(lambda comp: comp is keep_comp)
+            service.cache.sweep_dims(
+                range(dataset.n_dims), lambda comp, memo: comp is keep_comp
+            )
             stats = service.cache.stats()
             expected = sum(
                 len(s.regions) for s in keep_comp.sequences.values()

@@ -3,14 +3,15 @@
 Covers the mutation types, versioned :class:`Dataset` behaviour (epoch,
 overlay rows, incremental column patching, compaction), incremental
 :class:`InvertedList` maintenance (sorted insert, lazy tombstones,
-compaction threshold), :meth:`InvertedIndex.apply`, epoch-aware plan
-caching, and the pickle round-trip regression (plan-cache bounds and the
+compaction threshold), :meth:`InvertedIndex.apply`, in-place plan
+patching, and the pickle round-trip regression (plan-cache bounds and the
 epoch field must survive).
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from repro.errors import DatasetError, StorageError
 from repro.metrics.counters import AccessCounters
 from repro.storage import inverted_list as inverted_list_module
 from repro.storage.tuple_store import TupleStore
+
+from ..conftest import assert_plan_matches_build
 
 ROWS = [
     [0.8, 0.32, 0.0],
@@ -243,24 +246,137 @@ class TestInvertedIndexApply:
         index.apply(MutationBatch((Mutation.update(2, 1, 0.95),)))
         assert index.list_for(1).entry(0) == (2, 0.95)
 
-    def test_plan_cache_drops_stale_plans(self, dataset):
+    def test_plan_for_and_peek_never_serve_an_older_epoch(self, dataset):
         index = InvertedIndex(dataset)
         plan = index.plans.plan_for([0, 1])
-        assert plan.epoch == 0
-        index.apply(MutationBatch((Mutation.update(0, 0, 0.5),)))
-        assert index.plans.peek([0, 1]) is None  # dropped on read
-        rebuilt = index.plans.plan_for([0, 1])
-        assert rebuilt.epoch == 1
-        assert rebuilt.block[0, 0] == 0.5
-        assert index.plans.stats().stale_drops == 1
+        for epoch, value in enumerate((0.5, 0.25, 0.0), start=1):
+            index.apply(MutationBatch((Mutation.update(0, epoch % 3, value),)))
+            assert index.plans.peek([0, 1]).epoch == index.epoch == epoch
+            assert index.plans.plan_for([0, 1]).epoch == epoch
+        # A plan left behind by a write that bypassed apply is refused.
+        plan.epoch -= 1
+        with pytest.raises(AssertionError):
+            index.plans.plan_for([0, 1])
+        with pytest.raises(AssertionError):
+            index.plans.peek([0, 1])
+        # The next write drops it rather than re-stamping it.
+        index.apply(MutationBatch((Mutation.update(1, 2, 0.9),)))
+        assert index.plans.peek([0, 1]) is None
 
-    def test_plan_cache_drop_stale_eagerly(self, dataset):
+    def test_off_signature_update_keeps_the_plan(self, dataset):
         index = InvertedIndex(dataset)
-        index.plans.plan_for([0, 1])
-        index.plans.plan_for([1, 2])
-        index.apply(MutationBatch((Mutation.update(0, 0, 0.5),)))
-        assert index.plans.drop_stale() == 2
-        assert len(index.plans) == 0
+        plan = index.plans.plan_for([0, 1])
+        block = plan.block.copy()
+        zone = plan.zone
+        index.apply(MutationBatch((Mutation.update(1, 2, 0.9),)))
+        assert index.plans.plan_for([0, 1]) is plan
+        assert plan.epoch == 1
+        assert plan.zone is zone
+        assert np.array_equal(plan.block, block)
+        stats = index.plans.stats()
+        assert (stats.builds, stats.patches) == (1, 0)
+
+    def test_on_signature_update_patches_to_a_fresh_build(self, dataset):
+        index = InvertedIndex(dataset)
+        plan = index.plans.plan_for([0, 1])
+        plan.asc_rank(0)
+        plan.desc_rank(1)  # off the changed column: must stay exact
+        index.apply(
+            MutationBatch(
+                (
+                    Mutation.update(0, 0, 0.95),  # new maximum of dim 0
+                    Mutation.update(2, 1, 0.0),  # old maximum of dim 1 leaves
+                    Mutation.delete(3),
+                )
+            )
+        )
+        assert index.plans.plan_for([0, 1]) is plan
+        assert plan.block[0, 0] == 0.95
+        assert_plan_matches_build(plan, index)
+        stats = index.plans.stats()
+        assert (stats.builds, stats.patches) == (1, 1)
+
+    def test_insert_appends_to_the_plans(self, dataset):
+        index = InvertedIndex(dataset)
+        plan = index.plans.plan_for([0, 1])
+        plan.asc_rank(0)  # new rows shift every rank: must not go stale
+        # Seven batches grow the plan past its exact-size allocation and
+        # then into (and past) the spare capacity of later ones.
+        for step in range(7):
+            rows = [Mutation.insert([1], [0.05 * (step + 1)])]
+            if step == 1:
+                rows.append(Mutation.insert([0, 2], [0.4, 0.6]))
+            if step == 3:
+                rows.append(Mutation.insert([], []))
+            index.apply(MutationBatch(tuple(rows)))
+            assert index.plans.peek([0, 1]) is plan
+            assert_plan_matches_build(plan, index)
+        assert plan.n_tuples == index.dataset.n_tuples == 13
+        assert index.plans.stats().builds == 1
+
+    def test_build_overlapping_a_write_is_served_uncached(
+        self, dataset, monkeypatch
+    ):
+        # A reader outside the writer gate (a timed-out shard call still
+        # running) builds a plan while a write lands between its column
+        # reads: the torn plan must not outlive the call.
+        index = InvertedIndex(dataset)
+        index.warm([0, 1])
+        read_column = dataset.column
+        writes = []
+
+        def column_racing_a_write(dim):
+            if dim == 1 and not writes:
+                writes.append(
+                    index.apply(MutationBatch((Mutation.update(0, 0, 0.95),)))
+                )
+            return read_column(dim)
+
+        monkeypatch.setattr(dataset, "column", column_racing_a_write)
+        torn = index.plans.plan_for([0, 1])
+        assert writes and torn.epoch == 0 and index.epoch == 1
+        assert index.plans.peek([0, 1]) is None
+        plan = index.plans.plan_for([0, 1])
+        assert plan is not torn and plan.epoch == 1
+        assert_plan_matches_build(plan, index)
+
+    def test_build_inside_a_write_is_served_uncached(self, dataset, monkeypatch):
+        index = InvertedIndex(dataset)
+        index.warm([0, 1])
+        apply_to_dataset = dataset.apply
+        inside = []
+
+        def apply_with_a_concurrent_build(batch):
+            applied = apply_to_dataset(batch)
+            inside.append(index.plans.plan_for([0, 1]))
+            return applied
+
+        monkeypatch.setattr(dataset, "apply", apply_with_a_concurrent_build)
+        index.apply(MutationBatch((Mutation.update(0, 0, 0.95),)))
+        assert inside and index.plans.peek([0, 1]) is None
+        assert index.write_seq == 2
+        assert_plan_matches_build(index.plans.plan_for([0, 1]), index)
+
+    def test_advance_waits_for_a_rank_build_in_flight(self, dataset):
+        index = InvertedIndex(dataset)
+        plan = index.plans.plan_for([0, 1])
+        batch = MutationBatch((Mutation.update(0, 0, 0.95),))
+        with plan._rank_lock:  # as held by a concurrent asc_rank build
+            writer = threading.Thread(target=index.apply, args=(batch,))
+            writer.start()
+            writer.join(0.2)
+            assert writer.is_alive() and plan.block[0, 0] == 0.8
+        writer.join()
+        assert_plan_matches_build(plan, index)
+
+    def test_advance_reapplies_the_byte_bound(self, dataset):
+        index = InvertedIndex(dataset)
+        first = index.plans.plan_for([0, 1])
+        second = index.plans.plan_for([1, 2])
+        index.plans.max_bytes = first.nbytes + second.nbytes
+        index.apply(MutationBatch((Mutation.insert([1], [0.3]),)))
+        assert [0, 1] not in index.plans and index.plans.peek([1, 2]) is second
+        assert index.plans.stats().evictions == 1
 
 
 class TestTupleStoreVersioning:

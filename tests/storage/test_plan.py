@@ -59,7 +59,7 @@ class TestSubspacePlan:
     def test_rank_arrays_encode_lexsorted_probe_orders(self, dataset, index):
         plan = SubspacePlan(index, [0, 2])
         column = plan.column(1)
-        ids = plan.all_ids
+        ids = np.arange(plan.n_tuples)  # plan rows are tuple ids
         asc = np.lexsort((ids, column + 0.0))
         desc = np.lexsort((ids, -(column + 0.0)))
         assert np.array_equal(np.argsort(plan.asc_rank(1)), asc)

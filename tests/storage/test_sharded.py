@@ -7,7 +7,10 @@ import pytest
 
 from repro import Dataset, InvertedIndex, Mutation, MutationBatch
 from repro.errors import ValidationError
-from repro.storage.sharded import ShardedIndex, ShardSignatureStats
+from repro.storage.plan import ZoneStats
+from repro.storage.sharded import ShardedIndex
+
+from ..conftest import assert_plan_matches_build
 
 
 def make_dataset(n=20, m=4, seed=0):
@@ -155,12 +158,19 @@ class TestMutationRouting:
                 assert indices[g].tolist() == s_indices[l].tolist()
                 assert values[g].tolist() == s_values[l].tolist()
 
-    def test_drop_stale_plans_covers_global_and_shards(self):
+    def test_apply_patches_global_and_shard_plans_in_place(self):
         sharded = ShardedIndex(make_dataset(n=12), 3)
-        sharded.index.plans.plan_for((0, 1))
-        sharded.shards[1].index.plans.plan_for((0, 1))
-        sharded.apply(Mutation.update(5, 0, 0.5))
-        assert sharded.drop_stale_plans() == 2
+        global_plan = sharded.index.plans.plan_for((0, 1))
+        touched = sharded.shards[1].index.plans.plan_for((0, 1))
+        other = sharded.shards[0].index.plans.plan_for((0, 1))
+        sharded.apply(Mutation.update(5, 0, 0.5))  # row 5 lives in shard 1
+        assert sharded.index.plans.plan_for((0, 1)) is global_plan
+        assert sharded.shards[1].index.plans.plan_for((0, 1)) is touched
+        assert sharded.shards[0].index.plans.plan_for((0, 1)) is other
+        assert_plan_matches_build(global_plan, sharded.index)
+        assert_plan_matches_build(touched, sharded.shards[1].index)
+        assert other.epoch == sharded.shards[0].epoch == 0
+        assert sharded.plan_patches == 2
 
 
 class TestSignatureStats:
@@ -173,15 +183,20 @@ class TestSignatureStats:
         assert stats.minima.tolist() == plan.block.min(axis=0).tolist()
         assert stats.n_rows == shard.n_rows
 
-    def test_stats_cached_per_epoch(self):
+    def test_stats_are_the_plan_zone_and_follow_writes(self):
         sharded = ShardedIndex(make_dataset(n=20), 2)
         shard = sharded.shards[0]
         first = shard.signature_stats((0, 1))
         assert shard.signature_stats((0, 1)) is first
-        sharded.apply(Mutation.update(0, 0, 0.123))
+        assert isinstance(first, ZoneStats)
+        sharded.apply(Mutation.update(0, 3, 0.123))  # off the signature
+        assert shard.signature_stats((0, 1)) is first
+        sharded.apply(Mutation.update(0, 0, 0.999))  # new maximum of dim 0
         refreshed = shard.signature_stats((0, 1))
-        assert refreshed is not first
-        assert isinstance(refreshed, ShardSignatureStats)
+        plan = shard.index.plans.plan_for((0, 1))
+        assert refreshed is not first and refreshed is plan.zone
+        assert refreshed.maxima[0] == 0.999
+        assert_plan_matches_build(plan, shard.index)
 
     def test_untouched_shard_keeps_cached_stats(self):
         sharded = ShardedIndex(make_dataset(n=20), 2)
