@@ -4,7 +4,7 @@ Measures what the sharded compute path (:mod:`repro.core.distributed`)
 buys on the interactive ``slider_drag`` workload: identically configured
 :class:`ShardedQueryService` instances (``reuse="off"`` — every tick runs
 the engine, isolating compute from caching) answer the same stream over
-1, 2, 4, and 8 row-range shards, ``shard_executor="sequential"``.
+1, 2, 4, and 8 row-range shards.
 
 On one core the win is *work deletion*, not parallelism: each shard
 publishes per-signature coordinate maxima, the coordinator turns them
@@ -12,8 +12,11 @@ into exact IEEE-754 shard-skip certificates (no tolerances), and with
 rows arranged so high-scoring tuples cluster in the first shards — the
 sorted layout below, standing in for any score-correlated partitioner —
 the tail shards are certified away from both the top-k merge and the
-Lemma 1 sweeps.  Answers are asserted bit-identical to the 1-shard
-(= unsharded) configuration before any number is reported.
+Lemma 1 sweeps.  The same stream also runs over the rows in generator
+order (``random_layout`` in the JSON), where few shards can be certified
+away; that run is reported, not gated.  Answers are asserted
+bit-identical to the 1-shard (= unsharded) configuration, per layout,
+before any number is reported.
 
 Usage::
 
@@ -116,7 +119,7 @@ def run_all_shards(index: InvertedIndex, workload, k: int, repeats: int = 5):
     """
     services = {
         n_shards: ShardedQueryService(
-            ShardedIndex(index, n_shards), shard_executor="sequential", reuse="off"
+            ShardedIndex(index, n_shards), reuse="off"
         )
         for n_shards in SHARD_COUNTS
     }
@@ -141,6 +144,29 @@ def run_all_shards(index: InvertedIndex, workload, k: int, repeats: int = 5):
     return seconds, answers
 
 
+def measure_layout(index: InvertedIndex, workload, k: int):
+    """Time every shard count on one row layout; ``None`` on a parity miss."""
+    seconds, answers = run_all_shards(index, workload, k)
+    for n_shards in SHARD_COUNTS[1:]:
+        if answers[n_shards] != answers[1]:
+            print(
+                f"FATAL: {n_shards}-shard answers differ from 1-shard",
+                file=sys.stderr,
+            )
+            return None
+    runs = {}
+    for n_shards in SHARD_COUNTS:
+        qps = len(workload) / seconds[n_shards]
+        runs[n_shards] = dict(seconds=seconds[n_shards], qps=qps)
+        print(
+            f"{n_shards} shard(s): {seconds[n_shards]:8.3f} s  "
+            f"({qps:9.1f} q/s, "
+            f"speedup {seconds[1] / seconds[n_shards]:5.2f}x)"
+        )
+    speedups = {s: seconds[1] / seconds[s] for s in SHARD_COUNTS}
+    return dict(n_queries=len(workload), runs=runs, speedups=speedups)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="tiny CI grid")
@@ -157,53 +183,38 @@ def main(argv=None) -> int:
     if args.quick:
         config.update(n=100_000, n_anchors=6, drags_per_anchor=20)
 
-    data = score_sorted(
-        generate_correlated(
-            n_tuples=config["n"],
-            n_dims=config["n_dims"],
-            rho=config["rho"],
-            seed=0,
+    generated = generate_correlated(
+        n_tuples=config["n"],
+        n_dims=config["n_dims"],
+        rho=config["rho"],
+        seed=0,
+    )
+    layouts = {}
+    for layout, data in (
+        ("score-sorted", score_sorted(generated)),
+        ("generator-order", generated),
+    ):
+        workload = slider_drag(
+            data,
+            qlen=config["qlen"],
+            n_anchors=config["n_anchors"],
+            drags_per_anchor=config["drags_per_anchor"],
+            seed=1,
+            step_scale=config["step_scale"],
+            cold_fraction=config["cold_fraction"],
+            min_column_nnz=50,
         )
-    )
-    index = InvertedIndex(data)
-    workload = slider_drag(
-        data,
-        qlen=config["qlen"],
-        n_anchors=config["n_anchors"],
-        drags_per_anchor=config["drags_per_anchor"],
-        seed=1,
-        step_scale=config["step_scale"],
-        cold_fraction=config["cold_fraction"],
-        min_column_nnz=50,
-    )
-    print(
-        f"n={config['n']} (score-sorted rows), {len(workload)} queries "
-        f"({config['n_anchors']} anchors x {config['drags_per_anchor']} ticks), "
-        f"k={config['k']}, shard counts {SHARD_COUNTS}"
-    )
-
-    seconds, answers = run_all_shards(index, workload, config["k"])
-    for n_shards in SHARD_COUNTS[1:]:
-        if answers[n_shards] != answers[1]:
-            print(
-                f"FATAL: {n_shards}-shard answers differ from 1-shard",
-                file=sys.stderr,
-            )
-            return 2
-
-    runs = {}
-    for n_shards in SHARD_COUNTS:
-        qps = len(workload) / seconds[n_shards]
-        runs[n_shards] = dict(seconds=seconds[n_shards], qps=qps)
         print(
-            f"{n_shards} shard(s): {seconds[n_shards]:8.3f} s  "
-            f"({qps:9.1f} q/s, "
-            f"speedup {seconds[1] / seconds[n_shards]:5.2f}x)"
+            f"n={config['n']} ({layout} rows), {len(workload)} queries "
+            f"({config['n_anchors']} anchors x {config['drags_per_anchor']} "
+            f"ticks), k={config['k']}, shard counts {SHARD_COUNTS}"
         )
-
-    speedups = {s: runs[1]["seconds"] / runs[s]["seconds"] for s in SHARD_COUNTS}
-    gate_speedup = speedups[GATE_SHARDS]
-    print(f"speedup at {GATE_SHARDS} shards: {gate_speedup:.2f}x")
+        layouts[layout] = measure_layout(InvertedIndex(data), workload, config["k"])
+        if layouts[layout] is None:
+            return 2
+    sorted_run, random_run = layouts["score-sorted"], layouts["generator-order"]
+    gate_speedup = sorted_run["speedups"][GATE_SHARDS]
+    print(f"speedup at {GATE_SHARDS} shards (score-sorted): {gate_speedup:.2f}x")
 
     payload = {
         "meta": {
@@ -213,10 +224,16 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
         },
         "config": config,
-        "n_queries": len(workload),
+        "n_queries": sorted_run["n_queries"],
         "shard_counts": list(SHARD_COUNTS),
-        "runs": {str(s): runs[s] for s in SHARD_COUNTS},
-        "speedups": {str(s): speedups[s] for s in SHARD_COUNTS},
+        "runs": {str(s): sorted_run["runs"][s] for s in SHARD_COUNTS},
+        "speedups": {str(s): sorted_run["speedups"][s] for s in SHARD_COUNTS},
+        "random_layout": {
+            "layout": "generator order (rows as generated, not sorted)",
+            "n_queries": random_run["n_queries"],
+            "runs": {str(s): random_run["runs"][s] for s in SHARD_COUNTS},
+            "speedups": {str(s): random_run["speedups"][s] for s in SHARD_COUNTS},
+        },
         "gate": {
             "shards": GATE_SHARDS,
             "required_speedup": GATE_SPEEDUP,

@@ -51,7 +51,7 @@ from .core.concurrent import (
     cross_polytope_margin,
     sensitivity_profile,
 )
-from .core.distributed import SHARD_EXECUTORS, DistributedEngine
+from .core.distributed import DistributedEngine
 from .core.regions import Bound, BoundKind, ImmutableRegion, RegionSequence
 from .datasets.base import Dataset
 from .datasets.image import generate_image_features
@@ -114,7 +114,6 @@ __all__ = [
     "ThresholdAlgorithm",
     # core
     "METHODS",
-    "SHARD_EXECUTORS",
     "DistributedEngine",
     "ImmutableRegionEngine",
     "RegionComputation",

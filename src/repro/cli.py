@@ -70,7 +70,7 @@ from .datasets.image import generate_image_features
 from .datasets.synthetic import generate_correlated
 from .datasets.text import generate_text_corpus
 from .datasets.workloads import sample_queries
-from .core.distributed import SHARD_EXECUTORS, SHARD_FAILURE_POLICIES
+from .core.distributed import SHARD_FAILURE_POLICIES
 from .errors import RecoveryError
 from .service import EXECUTORS, REUSE_MODES, AsyncGateway, QueryService, ShardedQueryService
 from .service.gateway import run_self_test, serve as serve_gateway
@@ -310,7 +310,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         data, idf = _build_dataset(args.family, args.seed)
     service_kwargs = dict(
         n_shards=args.shards,
-        shard_executor=args.shard_executor,
         method=args.method,
         backend=args.backend,
         reuse=args.reuse,
@@ -389,7 +388,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         snapshot = responses[-1].get("stats", {})
         print(
             f"self-test: {len(responses) - 2} queries over "
-            f"{service.n_shards} shard(s) ({args.shard_executor}); "
+            f"{service.n_shards} shard(s); "
             f"{len(failed)} failed responses"
         )
         print(json.dumps(snapshot, indent=2))
@@ -483,7 +482,6 @@ def _loadtest_knee(args: argparse.Namespace) -> int:
         service = ShardedQueryService(
             data,
             n_shards=args.shards,
-            shard_executor=args.shard_executor,
             method=args.method,
             backend=args.backend,
             reuse=args.reuse,
@@ -685,7 +683,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         service = ShardedQueryService(
             data,
             n_shards=args.shards,
-            shard_executor=args.shard_executor,
             method=args.method,
             backend=args.backend,
             reuse=args.reuse,
@@ -1029,11 +1026,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=4, help="row-range shard count")
     serve.add_argument(
         "--shard-executor",
-        choices=SHARD_EXECUTORS,
+        choices=("sequential",),
         default="sequential",
-        help="shard fan-out: 'sequential' interleaves shard-skip "
-        "certificates (single-core throughput), 'thread'/'process' run "
-        "shards concurrently",
+        help="accepted only for existing callers: shards are always called "
+        "in-process, interleaving shard-skip certificates with the merge",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=9736)
@@ -1196,9 +1192,6 @@ def build_parser() -> argparse.ArgumentParser:
         "failover group (connections rotate past dead gateways)",
     )
     loadtest.add_argument("--shards", type=int, default=4)
-    loadtest.add_argument(
-        "--shard-executor", choices=SHARD_EXECUTORS, default="sequential"
-    )
     loadtest.add_argument("--reuse", choices=REUSE_MODES, default="region")
     loadtest.add_argument(
         "--on-shard-failure", choices=SHARD_FAILURE_POLICIES, default="oracle"

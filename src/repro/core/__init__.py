@@ -29,14 +29,13 @@ from .engine import ImmutableRegionEngine, RegionComputation, compute_immutable_
 # Imported after .engine: the distributed coordinator pulls in the kernel
 # package, whose module graph must be entered via the engine's import
 # order (datasets before kernels) to stay acyclic.
-from .distributed import SHARD_EXECUTORS, DistributedEngine
+from .distributed import DistributedEngine
 from .regions import Bound, BoundKind, ImmutableRegion, RegionSequence
 
 __all__ = [
     "DistributedEngine",
     "ImmutableRegionEngine",
     "RegionComputation",
-    "SHARD_EXECUTORS",
     "compute_immutable_regions",
     "Bound",
     "BoundKind",

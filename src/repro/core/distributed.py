@@ -69,15 +69,20 @@ so the recorded achiever is unchanged.  Certificates therefore never
 alter output — they only delete provably non-competitive work, which is
 where the measured shard-count speedup comes from on a single core.
 
-Executors
----------
-``shard_executor="sequential"`` interleaves certificates with the merge
-(maximum work deletion — the throughput mode on one core);
-``"thread"``/``"process"`` fan each stage out to all shards concurrently
-and certify against the post-Phase-1 snapshot (the latency mode on many
-cores).  Process pools are **per shard**: each worker is initialised
-with only its own shard's rows, so the pickled payload scales with
-``n/S``, not ``n`` (regression-tested in ``tests/service/test_gateway.py``).
+Fan-out
+-------
+Shards live in the coordinator's process and are called directly, one
+at a time, in the order the merge needs them.  Phase A visits shards
+highest-cap first and certifies each against the merged list so far;
+phase B applies each query's sweep candidates in ascending shard order
+and certifies every (query, shard) pair against the bounds the earlier
+shards left.  Interleaving certificates with the merge deletes the most
+work.  The top-k pass returns its score rows to the coordinator by
+reference and the sweep of the same (query, shard) reuses them, so one
+fused scoring serves both passes; a sweep without a row (the shard was
+certified out of the top-k pass) recomputes it.  A
+:class:`~repro.core.supervision.SupervisedTransport` may wrap the
+transport to bound, retry and circuit-break every shard call.
 
 Everything the fused geometry does not cover — ``topk_mode="ta"``,
 ``phi > 0``, composition-only mode, forced iterative processing,
@@ -87,12 +92,8 @@ single-index oracle, unsharded and exact.
 
 from __future__ import annotations
 
-import itertools
-import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -115,12 +116,7 @@ from .context import DimensionView, WorkingBounds, apply_batch_constraints
 from .engine import TOPK_MODES, ImmutableRegionEngine, RegionComputation, RunMetrics
 from .regions import Bound, BoundKind, ImmutableRegion, RegionSequence
 
-__all__ = [
-    "SHARD_EXECUTORS",
-    "SHARD_FAILURE_POLICIES",
-    "DistributedEngine",
-    "worker_payload",
-]
+__all__ = ["SHARD_FAILURE_POLICIES", "DistributedEngine"]
 
 #: What the engine does when a shard is unavailable (retries exhausted or
 #: circuit open): ``"oracle"`` falls back to the embedded unsharded
@@ -129,93 +125,46 @@ __all__ = [
 #: return an explicit ``DEGRADED`` reply naming the shards consulted.
 SHARD_FAILURE_POLICIES = ("oracle", "degraded")
 
-#: How the coordinator talks to its shards: ``"sequential"`` (in-process,
-#: certificate-interleaved — the single-core throughput mode),
-#: ``"thread"`` (in-process concurrent fan-out), ``"process"`` (one
-#: single-worker pool per shard, each holding only its own shard).
-SHARD_EXECUTORS = ("sequential", "thread", "process")
-
-#: Score-row caches a worker keeps live (one per in-flight chunk token).
-_WORKER_CACHE_TOKENS = 4
-
-#: Chunk tokens are process-global: engines may share one transport (and
-#: therefore worker caches), so per-engine counters could collide.
-#: ``next()`` on ``itertools.count`` is atomic under the GIL.
-_CHUNK_TOKENS = itertools.count(1)
-
-
-def worker_payload(shard: IndexShard) -> Tuple[int, int, object]:
-    """The initializer payload shipped to shard *shard*'s process worker.
-
-    Deliberately a module-level function: the satellite regression test
-    pickles exactly this to assert the per-worker payload scales with the
-    shard's rows, not the full dataset.
-    """
-    return (shard.shard_id, shard.start, shard.dataset)
-
 
 # ----------------------------------------------------------------------
-# Shard-side compute endpoint (shared by all transports)
+# Shard-side compute endpoint and the transport that reaches it
 # ----------------------------------------------------------------------
 
 
 class _ShardWorker:
     """Kernel endpoint over one shard: score, select, sweep in local ids.
 
-    Score rows are cached per chunk *token* so the top-k pass and the
-    region sweeps of one chunk share a single fused scoring of the shard;
-    a sweep whose row was never scored (the top-k pass skipped the shard)
-    recomputes it from the request's weights — correctness never depends
-    on cache state.  All returned ids are global (local + shard offset).
+    All returned ids are global (local + shard offset).  The coordinator
+    sends :meth:`topk` and :meth:`sweep` only to shards with rows.
     """
 
     def __init__(self, shard: IndexShard) -> None:
         self.shard = shard
-        self._caches: "OrderedDict[int, Dict]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def _rows_cache(self, token: int) -> Dict[int, np.ndarray]:
-        with self._lock:
-            cache = self._caches.get(token)
-            if cache is None:
-                cache = self._caches[token] = {}
-                while len(self._caches) > _WORKER_CACHE_TOKENS:
-                    self._caches.popitem(last=False)
-            else:
-                self._caches.move_to_end(token)
-            return cache
 
     def stats(self, signature: Tuple[int, ...]):
         return self.shard.signature_stats(signature)
 
     def topk(
-        self,
-        token: int,
-        signature: Tuple[int, ...],
-        weights: np.ndarray,
-        qpos_list: Sequence[int],
-        kk: int,
-    ) -> List[Tuple[np.ndarray, np.ndarray, int]]:
-        """Local top-``kk`` per query: ``(global_ids, scores, n_positive)``."""
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), 0)
-        if self.shard.n_rows == 0:
-            return [empty] * len(qpos_list)
+        self, signature: Tuple[int, ...], weights: np.ndarray, kk: int
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, int]], np.ndarray]:
+        """Local top-``kk`` of every query row of *weights*.
+
+        Returns ``(answers, scores)``: per query ``(global_ids, scores,
+        n_positive)``, plus the ``(queries, rows)`` score matrix itself,
+        which the coordinator hands back to :meth:`sweep` so the top-k
+        pass and the region sweeps share one fused scoring.
+        """
         plan = self.shard.index.plans.plan_for(signature)
         scores = fused_scores(plan.block, np.asarray(weights, dtype=np.float64))
-        cache = self._rows_cache(token)
-        with self._lock:
-            for row, qpos in zip(scores, qpos_list):
-                cache[int(qpos)] = row
-        out = []
-        for top in fused_topk(scores, kk):
-            out.append(
-                (
-                    (top.ids + self.shard.start).astype(np.int64),
-                    top.scores,
-                    int(top.n_positive),
-                )
+        answers = [
+            (
+                (top.ids + self.shard.start).astype(np.int64),
+                top.scores,
+                int(top.n_positive),
             )
-        return out
+            for top in fused_topk(scores, kk)
+        ]
+        return answers, scores
 
     def rows(
         self, signature: Tuple[int, ...], local_ids: np.ndarray
@@ -225,187 +174,76 @@ class _ShardWorker:
         ids = np.asarray(local_ids, dtype=np.int64)
         return plan.rows(ids), np.asarray(plan.nnz_rows[ids], dtype=np.int64)
 
-    def sweep(
-        self, token: int, signature: Tuple[int, ...], requests: List[Dict]
-    ) -> List[List[Tuple]]:
+    def sweep(self, signature: Tuple[int, ...], req: Dict) -> List[Tuple]:
         """Reduce the shard's rows to extremal Lemma 1 crossing candidates.
 
-        Each request covers one query: its (cached or recomputed) score
-        row, its result rows inside this shard (masked out like the
-        global sweep masks the whole result), and the dimensions still in
-        play with per-side flags.  Per dimension the answer is
-        ``(upper, lower)`` — ``upper = (delta, global_id)`` and ``lower =
-        (delta, global_id, nnz, coord_nonzero)`` (the two extra fields
-        feed the coordinator's domain-edge degeneracy check) — with
-        ``None`` for a side that yields no constraint.  Arithmetic and
-        first-occurrence reductions are exactly the single-index sweep's,
-        restricted to this shard's rows.
+        The request covers one query: its score row (the top-k pass's
+        row, or ``None`` to recompute it from the request's weights), its
+        result rows inside this shard (masked out like the global sweep
+        masks the whole result), and the dimensions still in play with
+        per-side flags.  Per dimension the answer is ``(upper, lower)`` —
+        ``upper = (delta, global_id)`` and ``lower = (delta, global_id,
+        nnz, coord_nonzero)`` (the two extra fields feed the
+        coordinator's domain-edge degeneracy check) — with ``None`` for a
+        side that yields no constraint.  Arithmetic and first-occurrence
+        reductions are exactly the single-index sweep's, restricted to
+        this shard's rows.
         """
-        if self.shard.n_rows == 0:
-            return [[(None, None)] * len(req["dims"]) for req in requests]
         plan = self.shard.index.plans.plan_for(signature)
-        cache = self._rows_cache(token)
-        out: List[List[Tuple]] = []
-        for req in requests:
-            qpos = int(req["qpos"])
-            with self._lock:
-                row = cache.get(qpos)
-            if row is None:
-                row = fused_scores(plan.block, req["weights"])[0]
-                with self._lock:
-                    cache[qpos] = row
-            zero_mask = row == 0.0
-            local_results = req["local_result_ids"]
-            dk_score = float(req["dk_score"])
-            answers: List[Tuple] = []
-            for j_pos, dk_coord, want_upper, want_lower in req["dims"]:
-                deltas, denoms = batch_crossings(
-                    dk_score, dk_coord, row, plan.column(j_pos)
-                )
-                denoms[local_results] = 0.0
-                denoms[zero_mask] = 0.0
-                upper = None
-                if want_upper:
-                    ui = first_min_index(deltas, denoms > 0.0)
-                    if ui is not None:
-                        upper = (float(deltas[ui]), self.shard.to_global(ui))
-                lower = None
-                if want_lower:
-                    li = first_max_index(deltas, denoms < 0.0)
-                    if li is not None:
-                        lower = (
-                            float(deltas[li]),
-                            self.shard.to_global(li),
-                            int(plan.nnz_rows[li]),
-                            bool(plan.block[li, j_pos] != 0.0),
-                        )
-                answers.append((upper, lower))
-            out.append(answers)
-        return out
-
-
-# ----------------------------------------------------------------------
-# Transports: where the shard workers live and how calls reach them
-# ----------------------------------------------------------------------
-
-_PW_WORKER: Optional[_ShardWorker] = None
-
-
-def _shard_worker_init(shard_id: int, start: int, dataset) -> None:
-    """Process-pool initializer: rebuild ONE shard's stack in the worker.
-
-    The payload (see :func:`worker_payload`) carries only this shard's
-    rows — the per-worker pickle cost scales with ``n/S``, unlike the
-    service's full-dataset window workers.
-    """
-    global _PW_WORKER
-    _PW_WORKER = _ShardWorker(IndexShard(shard_id, start, dataset))
-
-
-def _pw_call(op: str, args: tuple):
-    return getattr(_PW_WORKER, op)(*args)
+        row = req["row"]
+        if row is None:
+            row = fused_scores(plan.block, req["weights"])[0]
+        zero_mask = row == 0.0
+        local_results = req["local_result_ids"]
+        dk_score = float(req["dk_score"])
+        answers: List[Tuple] = []
+        for j_pos, dk_coord, want_upper, want_lower in req["dims"]:
+            deltas, denoms = batch_crossings(dk_score, dk_coord, row, plan.column(j_pos))
+            denoms[local_results] = 0.0
+            denoms[zero_mask] = 0.0
+            upper = None
+            if want_upper:
+                ui = first_min_index(deltas, denoms > 0.0)
+                if ui is not None:
+                    upper = (float(deltas[ui]), self.shard.to_global(ui))
+            lower = None
+            if want_lower:
+                li = first_max_index(deltas, denoms < 0.0)
+                if li is not None:
+                    lower = (
+                        float(deltas[li]),
+                        self.shard.to_global(li),
+                        int(plan.nnz_rows[li]),
+                        bool(plan.block[li, j_pos] != 0.0),
+                    )
+            answers.append((upper, lower))
+        return answers
 
 
 class _InProcessTransport:
-    """Direct calls against the live shards; optional thread fan-out."""
+    """Direct calls against the live shards, one at a time.
 
-    def __init__(self, sharded: ShardedIndex, parallel: bool, max_workers=None) -> None:
+    *deadline* is accepted for signature parity with
+    :class:`~repro.core.supervision.SupervisedTransport`: an in-process
+    call cannot be interrupted, and the engine checks the deadline at
+    every dispatch barrier itself.
+    """
+
+    def __init__(self, sharded: ShardedIndex) -> None:
         self.workers = [_ShardWorker(shard) for shard in sharded.shards]
-        self._pool: Optional[ThreadPoolExecutor] = None
-        if parallel and len(self.workers) > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=max_workers or len(self.workers),
-                thread_name_prefix="repro-shard",
-            )
 
-    def call(self, sid: int, op: str, args: tuple):
+    def call(self, sid: int, op: str, args: tuple, deadline=None):
         return getattr(self.workers[sid], op)(*args)
 
-    def map(self, calls: List[Tuple[int, str, tuple]]) -> List:
-        if self._pool is None or len(calls) <= 1:
-            return [self.call(*call) for call in calls]
-        futures = [self._pool.submit(self.call, *call) for call in calls]
-        return [future.result() for future in futures]
-
-    def retire(self) -> None:
-        """In-process workers read the live shards — nothing to refresh."""
+    def map(self, calls: List[Tuple[int, str, tuple]], deadline=None) -> List:
+        return [self.call(*call) for call in calls]
 
     def respawn(self, sid: int) -> None:
         """Rebuild shard *sid*'s worker (supervision's recovery hook)."""
         self.workers[sid] = _ShardWorker(self.workers[sid].shard)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class _ProcessTransport:
-    """One single-worker process pool per shard, spawned on first use.
-
-    Workers hold a snapshot of their shard; :meth:`retire` (called under
-    the service's writer gate after a mutation) shuts the pools down so
-    the next chunk respawns them against the mutated shards.
-    """
-
-    def __init__(self, sharded: ShardedIndex) -> None:
-        self._sharded = sharded
-        self._pools: List[Optional[ProcessPoolExecutor]] = [None] * sharded.n_shards
-        self._lock = threading.Lock()
-
-    def _pool(self, sid: int) -> ProcessPoolExecutor:
-        with self._lock:
-            pool = self._pools[sid]
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_shard_worker_init,
-                    initargs=worker_payload(self._sharded.shards[sid]),
-                )
-                self._pools[sid] = pool
-            return pool
-
-    def call(self, sid: int, op: str, args: tuple):
-        return self._pool(sid).submit(_pw_call, op, args).result()
-
-    def map(self, calls: List[Tuple[int, str, tuple]]) -> List:
-        futures = [self._pool(sid).submit(_pw_call, op, args) for sid, op, args in calls]
-        return [future.result() for future in futures]
-
-    def retire(self) -> None:
-        with self._lock:
-            pools, self._pools = self._pools, [None] * self._sharded.n_shards
-        for pool in pools:
-            if pool is not None:
-                pool.shutdown(wait=True)
-
-    def respawn(self, sid: int) -> None:
-        """Kill shard *sid*'s pool; the next call lazily respawns it.
-
-        ``wait=False``: a broken pool's worker is already gone, and a
-        merely wedged one must not block recovery.
-        """
-        with self._lock:
-            pool, self._pools[sid] = self._pools[sid], None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    close = retire
-
-
-def make_transport(
-    sharded: ShardedIndex, shard_executor: str, max_workers: Optional[int] = None
-):
-    """Build the shard transport for one executor mode (shareable)."""
-    require(
-        shard_executor in SHARD_EXECUTORS,
-        f"unknown shard_executor {shard_executor!r}; expected one of {SHARD_EXECUTORS}",
-    )
-    if shard_executor == "process":
-        return _ProcessTransport(sharded)
-    return _InProcessTransport(
-        sharded, parallel=(shard_executor == "thread"), max_workers=max_workers
-    )
+        """Nothing to release: the workers are the live shards."""
 
 
 # ----------------------------------------------------------------------
@@ -470,48 +308,23 @@ class DistributedEngine:
         self,
         sharded: ShardedIndex,
         method: str = "cpt",
-        shard_executor: str = "sequential",
-        max_workers: Optional[int] = None,
         transport=None,
         on_shard_failure: str = "oracle",
         **engine_kwargs,
     ) -> None:
-        require(
-            shard_executor in SHARD_EXECUTORS,
-            f"unknown shard_executor {shard_executor!r}; "
-            f"expected one of {SHARD_EXECUTORS}",
-        )
         require(
             on_shard_failure in SHARD_FAILURE_POLICIES,
             f"unknown on_shard_failure {on_shard_failure!r}; "
             f"expected one of {SHARD_FAILURE_POLICIES}",
         )
         self.sharded = sharded
-        self.shard_executor = shard_executor
         self.on_shard_failure = on_shard_failure
         #: Fused chunks that lost a shard and were re-answered (exactly)
         #: by the embedded oracle under the ``"oracle"`` failure policy.
         self.oracle_failovers = 0
         self.oracle = ImmutableRegionEngine(sharded.index, method=method, **engine_kwargs)
         self._owns_transport = transport is None
-        self._transport = (
-            make_transport(sharded, shard_executor, max_workers)
-            if transport is None
-            else transport
-        )
-        self._supervised = bool(getattr(self._transport, "supervised", False))
-
-    # -- transport plumbing (deadline-aware when supervised) -------------
-
-    def _tcall(self, sid: int, op: str, args: tuple, deadline=None):
-        if self._supervised:
-            return self._transport.call(sid, op, args, deadline=deadline)
-        return self._transport.call(sid, op, args)
-
-    def _tmap(self, calls, deadline=None):
-        if self._supervised:
-            return self._transport.map(calls, deadline=deadline)
-        return self._transport.map(calls)
+        self._transport = _InProcessTransport(sharded) if transport is None else transport
 
     # -- engine surface -------------------------------------------------
 
@@ -537,10 +350,6 @@ class DistributedEngine:
     def compute(self, query: Query, k: int, phi: int = 0, plan=None) -> RegionComputation:
         """Single-query compute: always the unsharded oracle."""
         return self.oracle.compute(query, k, phi=phi, plan=plan)
-
-    def retire_workers(self) -> None:
-        """Drop worker-side shard snapshots (call after mutations)."""
-        self._transport.retire()
 
     def close(self) -> None:
         if self._owns_transport:
@@ -662,7 +471,6 @@ class DistributedEngine:
     ) -> None:
         n_shards = self.sharded.n_shards
         n_queries = len(chunk)
-        token = next(_CHUNK_TOKENS)
         order_key = lambda e: (-e[0], e[1])  # the library total order
 
         # ---- phase A: per-shard top-(k+1), merged under certificates
@@ -670,7 +478,7 @@ class DistributedEngine:
         weights = np.stack([batch[i].weights for i in chunk])
         if deadline is not None:
             deadline.check("shard-dispatch")
-        stats = self._tmap(
+        stats = self._transport.map(
             [(s, "stats", (signature,)) for s in range(n_shards)],
             deadline=deadline,
         )
@@ -686,6 +494,8 @@ class DistributedEngine:
         total_ge2 = sum(stats[s].nnz_ge2_total for s in range(n_shards))
         entries: List[List[Tuple[float, int]]] = [[] for _ in range(n_queries)]
         npos = [0] * n_queries
+        # (qpos, shard) -> the top-k pass's score row, reused by the sweep.
+        score_rows: Dict[Tuple[int, int], np.ndarray] = {}
 
         def merge(qpos: int, gids: np.ndarray, scores: np.ndarray) -> None:
             if gids.size == 0:
@@ -696,46 +506,33 @@ class DistributedEngine:
             merged.sort(key=order_key)
             entries[qpos] = merged[: k + 1]
 
-        if self.shard_executor == "sequential":
-            # Highest-cap shards first: they fill the merged list fastest,
-            # which certifies the low-cap tail away for the most queries.
-            for s in np.lexsort((np.arange(n_shards), -ubs.max(axis=0))):
-                s = int(s)
-                if s not in live:
-                    continue
-                need: List[int] = []
-                for qpos in range(n_queries):
-                    ent = entries[qpos]
-                    if len(ent) > k and ubs[qpos, s] < ent[k][0]:
-                        # Certified: all shard scores strictly below the
-                        # merged (k+1)-th — structural positive count
-                        # stands in for the per-query one.
-                        npos[qpos] += stats[s].n_positive
-                    else:
-                        need.append(qpos)
-                if not need:
-                    continue
-                if deadline is not None:
-                    deadline.check("shard-dispatch")
-                answers = self._tcall(
-                    s,
-                    "topk",
-                    (token, signature, weights[need], need, k + 1),
-                    deadline=deadline,
-                )
-                for qpos, (gids, scores, n_pos) in zip(need, answers):
-                    npos[qpos] += n_pos
-                    merge(qpos, gids, scores)
-        else:
-            all_q = list(range(n_queries))
-            by_shard = self._tmap(
-                [(s, "topk", (token, signature, weights, all_q, k + 1)) for s in live],
-                deadline=deadline,
+        # Highest-cap shards first: they fill the merged list fastest,
+        # which certifies the low-cap tail away for the most queries.
+        for s in np.lexsort((np.arange(n_shards), -ubs.max(axis=0))):
+            s = int(s)
+            if s not in live:
+                continue
+            need: List[int] = []
+            for qpos in range(n_queries):
+                ent = entries[qpos]
+                if len(ent) > k and ubs[qpos, s] < ent[k][0]:
+                    # Certified: all shard scores strictly below the
+                    # merged (k+1)-th — structural positive count
+                    # stands in for the per-query one.
+                    npos[qpos] += stats[s].n_positive
+                else:
+                    need.append(qpos)
+            if not need:
+                continue
+            if deadline is not None:
+                deadline.check("shard-dispatch")
+            answers, scores = self._transport.call(
+                s, "topk", (signature, weights[need], k + 1), deadline=deadline
             )
-            for answers in by_shard:
-                for qpos, (gids, scores, n_pos) in enumerate(answers):
-                    npos[qpos] += n_pos
-                    merge(qpos, gids, scores)
+            for qpos, row, (gids, top_scores, n_pos) in zip(need, scores, answers):
+                score_rows[qpos, s] = row
+                npos[qpos] += n_pos
+                merge(qpos, gids, top_scores)
         topk_share = (time.perf_counter() - topk_start) / n_queries
         if deadline is not None:
             deadline.check("merge")
@@ -767,7 +564,7 @@ class DistributedEngine:
             owners = sorted(by_owner)
             if deadline is not None:
                 deadline.check("shard-dispatch")
-            gathered = self._tmap(
+            gathered = self._transport.map(
                 [
                     (
                         s,
@@ -793,45 +590,19 @@ class DistributedEngine:
             )
 
         # ---- phase B: sharded d_k sweeps under certificates
-        if self.shard_executor == "sequential":
-            for p in prepared:
-                for s in live:  # ascending: global first-achiever order
-                    request = self._build_request(p, s, stats, ubs, weights)
-                    if request is None:
-                        continue
-                    if deadline is not None:
-                        deadline.check("shard-dispatch")
-                    answers = self._tcall(
-                        s, "sweep", (token, signature, [request]), deadline=deadline
-                    )[0]
-                    self._apply_answers(p, request["dims"], answers)
-        else:
-            # Certify against the post-Phase-1 snapshot, sweep every shard
-            # concurrently, then apply in ascending shard order — the
-            # strict rule makes the outcome order-identical (docstring).
-            shard_requests: Dict[int, List[Tuple[_PreparedQuery, Dict]]] = {}
-            for p in prepared:
-                for s in live:
-                    request = self._build_request(p, s, stats, ubs, weights)
-                    if request is not None:
-                        shard_requests.setdefault(s, []).append((p, request))
-            swept = sorted(shard_requests)
-            if deadline is not None:
-                deadline.check("shard-dispatch")
-            responses = self._tmap(
-                [
-                    (
-                        s,
-                        "sweep",
-                        (token, signature, [req for _, req in shard_requests[s]]),
-                    )
-                    for s in swept
-                ],
-                deadline=deadline,
-            )
-            for s, shard_answers in zip(swept, responses):
-                for (p, request), answers in zip(shard_requests[s], shard_answers):
-                    self._apply_answers(p, request["dims"], answers)
+        for p in prepared:
+            for s in live:  # ascending: global first-achiever order
+                request = self._build_request(
+                    p, s, stats, ubs, weights, score_rows.get((p.qpos, s))
+                )
+                if request is None:
+                    continue
+                if deadline is not None:
+                    deadline.check("shard-dispatch")
+                answers = self._transport.call(
+                    s, "sweep", (signature, request), deadline=deadline
+                )
+                self._apply_answers(p, request["dims"], answers)
 
         # ---- finalize: degeneracy check, regions, metrics
         if deadline is not None:
@@ -918,8 +689,13 @@ class DistributedEngine:
         stats: List,
         ubs: np.ndarray,
         weights: np.ndarray,
+        row: Optional[np.ndarray],
     ) -> Optional[Dict]:
-        """The sweep request for (query, shard), or ``None`` if certified out."""
+        """The sweep request for (query, shard), or ``None`` if certified out.
+
+        *row* is the query's score row over the shard from the top-k
+        pass, or ``None`` when that pass skipped the shard.
+        """
         ub = float(ubs[p.qpos, s])
         shard_stats = stats[s]
         dims: List[Tuple[int, float, bool, bool]] = []
@@ -943,7 +719,7 @@ class DistributedEngine:
         if not dims:
             return None
         return {
-            "qpos": p.qpos,
+            "row": row,
             "weights": weights[p.qpos : p.qpos + 1],
             "dk_score": p.dk_score,
             "local_result_ids": p.local_results.get(
@@ -1045,5 +821,5 @@ class DistributedEngine:
     def __repr__(self) -> str:
         return (
             f"DistributedEngine(shards={self.sharded.n_shards}, "
-            f"method={self.method!r}, shard_executor={self.shard_executor!r})"
+            f"method={self.method!r})"
         )

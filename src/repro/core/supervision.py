@@ -1,21 +1,24 @@
-"""Supervised shard transports: retries, respawns, circuit breaking.
+"""Supervised shard transport: retries, respawns, circuit breaking.
 
-:class:`SupervisedTransport` wraps any shard transport
-(:func:`~repro.core.distributed.make_transport`'s thread/process/
-sequential transports) and turns infrastructure failures into one of
-exactly three outcomes:
+:class:`SupervisedTransport` wraps the distributed engine's in-process
+shard transport and turns infrastructure failures into one of exactly
+three outcomes:
 
-* a **successful retry** — worker death (``BrokenProcessPool``, a poison
-  pickle, an injected crash) respawns the shard's pool and replays the
-  call under capped exponential backoff with jitter, all within the
-  request's remaining deadline budget;
+* a **successful retry** — a worker failure classified as a crash (an
+  injected crash, a broken pool, a poison pickle, a dropped connection)
+  respawns the shard's worker and replays the call under capped
+  exponential backoff with jitter, all within the request's remaining
+  deadline budget;
 * :class:`~repro.errors.ShardUnavailable` — retries exhausted or the
   shard's circuit breaker is open; the distributed engine then degrades
   per policy (oracle fallback or an explicit ``DEGRADED`` error);
 * :class:`~repro.errors.DeadlineExceeded` — the request's budget ran out
-  mid-supervision; shard calls are bounded by ``future.result(timeout=
-  remaining)``, so a stalled worker can consume at most the budget, never
-  hang the request.
+  mid-supervision; each shard call runs on a dispatcher thread and is
+  bounded by ``future.result(timeout=remaining)``, so a stalled call can
+  consume at most the budget, never hang the request.  A call that timed
+  out keeps running on its dispatcher thread until it returns; the
+  storage layer's memos and plan cache are guarded against such a
+  straggler overlapping a write.
 
 The per-shard :class:`CircuitBreaker` stops hammering a persistently
 failing shard: after ``failure_threshold`` consecutive failures the
@@ -219,14 +222,11 @@ class SupervisedTransport:
     """A fault-tolerant facade over a shard transport.
 
     Duck-types the transport surface the distributed engine uses
-    (``call``/``map``/``retire``/``close``) and adds the deadline-aware
-    variants the engine prefers when it detects ``supervised = True``.
-    Inner calls run on a private dispatcher pool so they can be bounded
-    by ``future.result(timeout=...)`` regardless of the inner transport's
-    own threading model.
+    (``call``/``map``/``close``, each call taking the request's
+    deadline).  Inner calls run on a private dispatcher pool so they can
+    be bounded by ``future.result(timeout=...)``; the inner transport
+    needs ``call(sid, op, args)``, ``respawn(sid)`` and ``close()``.
     """
-
-    supervised = True
 
     def __init__(
         self,
@@ -313,12 +313,9 @@ class SupervisedTransport:
             self._sleep(delay)
 
     def respawn(self, sid: int) -> None:
-        """Replace shard *sid*'s worker (pool respawn or snapshot refresh)."""
+        """Replace shard *sid*'s worker."""
         self.stats.respawns += 1
-        if hasattr(self.inner, "respawn"):
-            self.inner.respawn(sid)
-        else:
-            self.inner.retire()
+        self.inner.respawn(sid)
 
     def call(self, sid: int, op: str, args: tuple, deadline=None):
         """One supervised shard call: breaker gate, timeout, retry loop."""
@@ -392,9 +389,6 @@ class SupervisedTransport:
         return [result for result, _ in outcomes]
 
     # -- transport surface -------------------------------------------------
-
-    def retire(self) -> None:
-        self.inner.retire()
 
     def close(self) -> None:
         with self._pools_lock:

@@ -54,10 +54,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .._util import require
 from ..core.distributed import (
-    SHARD_EXECUTORS,
     SHARD_FAILURE_POLICIES,
     DistributedEngine,
-    make_transport,
+    _InProcessTransport,
 )
 from ..core.engine import METHODS
 from ..core.supervision import SupervisedTransport, SupervisionPolicy
@@ -125,20 +124,18 @@ class ShardedQueryService(QueryService):
     """A query service whose compute path fans out over index shards.
 
     Parameters are :class:`QueryService`'s, minus ``executor`` (windows
-    run sequentially on the calling thread — concurrency lives at the
-    shard level) and plus:
+    run on the calling thread) and plus:
 
     n_shards:
         Row-range shard count (ignored when *data* is already a
         :class:`ShardedIndex`).
     shard_executor:
-        How the coordinator talks to shards
-        (:data:`~repro.core.distributed.SHARD_EXECUTORS`):
-        ``"sequential"`` interleaves shard-skip certificates with the
-        merge (the single-core throughput mode), ``"thread"`` /
-        ``"process"`` fan out concurrently.  One transport is shared by
-        every per-method engine, so process workers are spawned once per
-        service, each holding only its own shard's rows.
+        Accepts only ``"sequential"``; kept for existing callers.  The
+        shards live in this process and the coordinator calls them one
+        at a time, interleaving shard-skip certificates with the merge
+        (see :mod:`repro.core.distributed`).  One transport is shared by
+        every per-method engine, and concurrent requests run their shard
+        calls on their own threads.
 
     ``topk_mode`` defaults to ``"matmul"`` here — the fused path is the
     one that shards; TA replays delegate to the embedded unsharded
@@ -178,9 +175,9 @@ class ShardedQueryService(QueryService):
         durability=None,
     ) -> None:
         require(
-            shard_executor in SHARD_EXECUTORS,
-            f"unknown shard_executor {shard_executor!r}; "
-            f"expected one of {SHARD_EXECUTORS}",
+            shard_executor == "sequential",
+            f"unknown shard_executor {shard_executor!r}; only 'sequential' "
+            "remains (shards are called in-process)",
         )
         require(
             on_shard_failure in SHARD_FAILURE_POLICIES,
@@ -191,7 +188,6 @@ class ShardedQueryService(QueryService):
             self.sharded = data
         else:
             self.sharded = ShardedIndex(data, n_shards)
-        self.shard_executor = shard_executor
         self.on_shard_failure = on_shard_failure
         if supervision is True:
             policy: Optional[SupervisionPolicy] = SupervisionPolicy()
@@ -205,7 +201,7 @@ class ShardedQueryService(QueryService):
             policy = SupervisionPolicy() if fault_plan is not None else None
         self.supervision_policy = policy
         self.fault_plan = fault_plan
-        transport = make_transport(self.sharded, shard_executor, max_workers)
+        transport = _InProcessTransport(self.sharded)
         if policy is not None:
             transport = SupervisedTransport(
                 transport,
@@ -243,8 +239,6 @@ class ShardedQueryService(QueryService):
                 engine = self._engines[method] = DistributedEngine(
                     self.sharded,
                     method=method,
-                    shard_executor=self.shard_executor,
-                    max_workers=self.max_workers,
                     transport=self._shard_transport,
                     on_shard_failure=self.on_shard_failure,
                     **self._engine_kwargs(),
@@ -272,9 +266,8 @@ class ShardedQueryService(QueryService):
         their epochs), which patches the resident plans of the global
         index and of every touched shard in place; sweep the region
         cache entries on the changed dimensions with the Lemma 1 delta
-        test; and retire transport workers holding pre-mutation shard
-        snapshots (a no-op for in-process transports, which read the
-        live shards).  The cost is O(changed coordinates × resident
+        test.  The shard workers read the live shards, so nothing else
+        needs refreshing.  The cost is O(changed coordinates × resident
         plans + cache entries on the changed dimensions).
         """
         stats = ServiceStats()
@@ -289,7 +282,6 @@ class ShardedQueryService(QueryService):
             kept, evicted = invalidate_region_cache(
                 self.cache, applied, self.index.dataset
             )
-            self._shard_transport.retire()
             if self.durability is not None and self.durability.note_batch():
                 self._snapshot_locked()
         stats.mutation_batches = 1
@@ -315,7 +307,7 @@ class ShardedQueryService(QueryService):
     def __repr__(self) -> str:
         return (
             f"ShardedQueryService(n_shards={self.n_shards}, "
-            f"shard_executor={self.shard_executor!r}, method={self.method!r}, "
+            f"method={self.method!r}, "
             f"topk_mode={self.topk_mode!r}, reuse={self.reuse!r})"
         )
 
@@ -712,6 +704,15 @@ class AsyncGateway:
             name = str(payload["name"])
             offset = int(payload["offset"])
             length = int(payload.get("length", DEFAULT_SYNC_CHUNK))
+            if not 1 <= length <= DEFAULT_SYNC_CHUNK:
+                # The client must not choose how much the server reads
+                # and holds per request.
+                self.n_errors += 1
+                return error_reply(
+                    "BAD_REQUEST",
+                    "sync_error",
+                    f"sync chunk length must be in [1, {DEFAULT_SYNC_CHUNK}]",
+                )
             chunk = await loop.run_in_executor(
                 None,
                 functools.partial(

@@ -22,7 +22,8 @@ by the cursor on every :meth:`ListCursor.pull`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import threading
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,13 +39,20 @@ __all__ = ["InvertedList", "ListCursor"]
 _COMPACT_MIN = 64
 _COMPACT_SHIFT = 3
 
+#: Orders memo stores against patches.  Shared by every list, so lists
+#: stay picklable; taken only to store a memo or to invalidate reads.
+_MEMO_LOCK = threading.Lock()
+
 
 class InvertedList:
     """Per-dimension posting list, sorted by value descending.
 
     Reads are immutable-snapshot semantics between mutations; mutations
     themselves are only issued by the owning index's ``apply`` while no
-    scan is in flight (the service layer serialises them).
+    scan is in flight (the service layer serialises them).  A reader
+    outside that gate (a timed-out supervised shard call still running)
+    may see a torn read once, but never leaves a stale memo behind: a
+    memo is stored only if no patch ran while it was built.
     """
 
     def __init__(self, dim: int, ids: np.ndarray, values: np.ndarray) -> None:
@@ -70,6 +78,8 @@ class InvertedList:
         # cursor over this list: ids sorted ascending plus the matching list
         # positions, queried via searchsorted (see position_of).
         self._lookup: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Bumped by every patch; a memo built across a bump is not stored.
+        self._patches = 0
 
     @property
     def dim(self) -> int:
@@ -87,12 +97,16 @@ class InvertedList:
             return self._ids, self._values
         live = self._live
         if live is None:
+            patches = self._patches
             keep = ~self._dead
             ids = self._ids[keep]
             values = self._values[keep]
             ids.setflags(write=False)
             values.setflags(write=False)
-            live = self._live = (ids, values)
+            live = (ids, values)
+            with _MEMO_LOCK:
+                if self._patches == patches:
+                    self._live = live
         return live
 
     @property
@@ -123,11 +137,16 @@ class InvertedList:
         return float(self._live_arrays()[1][position])
 
     def _id_lookup(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._lookup is None:
+        lookup = self._lookup
+        if lookup is None:
+            patches = self._patches
             ids = self._live_arrays()[0]
             order = np.argsort(ids, kind="stable")
-            self._lookup = (ids[order], order.astype(np.int64))
-        return self._lookup
+            lookup = (ids[order], order.astype(np.int64))
+            with _MEMO_LOCK:
+                if self._patches == patches:
+                    self._lookup = lookup
+        return lookup
 
     # ------------------------------------------------------------------
     # Incremental maintenance (issued by InvertedIndex.apply only)
@@ -184,8 +203,10 @@ class InvertedList:
         )
 
     def _invalidate_reads(self) -> None:
-        self._live = None
-        self._lookup = None
+        with _MEMO_LOCK:
+            self._patches += 1
+            self._live = None
+            self._lookup = None
 
     def _compact(self) -> None:
         """Reclaim tombstoned slots; physical order is already canonical."""
@@ -193,7 +214,7 @@ class InvertedList:
         self._ids, self._values = ids, values
         self._dead = None
         self._n_dead = 0
-        self._live = None
+        self._invalidate_reads()
 
     @property
     def n_tombstones(self) -> int:

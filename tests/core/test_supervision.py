@@ -44,7 +44,6 @@ class ScriptedInner:
         self.script = list(script)
         self.calls = []
         self.respawned = []
-        self.retired = 0
         self.closed = False
 
     def call(self, sid, op, args):
@@ -58,9 +57,6 @@ class ScriptedInner:
 
     def respawn(self, sid):
         self.respawned.append(sid)
-
-    def retire(self):
-        self.retired += 1
 
     def close(self):
         self.closed = True
@@ -246,36 +242,6 @@ class TestSupervisedCall:
             assert plan.counters.crashes == 1
             assert transport.stats.respawns == 1
             assert plan.exhausted
-        finally:
-            transport.close()
-
-    def test_respawn_falls_back_to_retire(self):
-        """An inner transport without respawn() gets retire() instead."""
-
-        class RetireOnly:
-            def __init__(self):
-                self.retired = 0
-                self.script = [InjectedWorkerCrash("x"), "ok"]
-
-            def call(self, sid, op, args):
-                outcome = self.script.pop(0)
-                if isinstance(outcome, Exception):
-                    raise outcome
-                return outcome
-
-            def retire(self):
-                self.retired += 1
-
-            def close(self):
-                pass
-
-        retire_only = RetireOnly()
-        transport = SupervisedTransport(
-            retire_only, 1, policy=SupervisionPolicy(max_retries=1, backoff_base=0.0)
-        )
-        try:
-            assert transport.call(0, "op", ()) == "ok"
-            assert retire_only.retired == 1
         finally:
             transport.close()
 

@@ -28,6 +28,8 @@ from repro import (
     Query,
     ShardedIndex,
 )
+from repro.core.distributed import _InProcessTransport
+from repro.core.supervision import SupervisedTransport
 
 SETTINGS = dict(
     max_examples=8,
@@ -93,7 +95,7 @@ def region_repr(computation):
     }
 
 
-def assert_parity(dense, queries, k, phi, method, backend, shard_executor="sequential"):
+def assert_parity(dense, queries, k, phi, method, backend, supervised=False):
     oracle = ImmutableRegionEngine(
         InvertedIndex(Dataset.from_dense(dense)), method=method, backend=backend
     )
@@ -103,11 +105,11 @@ def assert_parity(dense, queries, k, phi, method, backend, shard_executor="seque
     ]
     for n_shards in SHARD_COUNTS:
         sharded = ShardedIndex(Dataset.from_dense(dense), n_shards)
+        transport = None
+        if supervised:
+            transport = SupervisedTransport(_InProcessTransport(sharded), n_shards)
         engine = DistributedEngine(
-            sharded,
-            method=method,
-            shard_executor=shard_executor,
-            backend=backend,
+            sharded, method=method, transport=transport, backend=backend
         )
         try:
             batch = engine.compute_many(queries, k, phi=phi, topk_mode="matmul")
@@ -116,6 +118,8 @@ def assert_parity(dense, queries, k, phi, method, backend, shard_executor="seque
                 assert ref == region_repr(got), (n_shards, method, backend)
         finally:
             engine.close()
+            if transport is not None:
+                transport.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -128,12 +132,16 @@ def test_sharded_matches_oracle(case, phi, method, backend):
     assert_parity(dense, queries, k, phi, method, backend)
 
 
-@given(case=dataset_and_workload(), executor=st.sampled_from(("sequential", "thread")))
+@given(case=dataset_and_workload(), supervised=st.booleans())
 @settings(**SETTINGS)
-def test_shard_executors_agree(case, executor):
-    """The concurrent fan-out path is order-identical to the sequential one."""
+def test_shard_executors_agree(case, supervised):
+    """Direct and supervised shard calls both reproduce the oracle.
+
+    The supervised transport runs every call on a dispatcher thread and
+    fans the zone-stats and row-gather calls out concurrently.
+    """
     dense, queries, k = case
-    assert_parity(dense, queries, k, 0, "cpt", "vector", shard_executor=executor)
+    assert_parity(dense, queries, k, 0, "cpt", "vector", supervised=supervised)
 
 
 @given(case=dataset_and_workload())

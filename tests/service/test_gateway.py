@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-import pickle
+import sys
+import threading
 import time
 
 import numpy as np
@@ -16,14 +17,19 @@ from repro import (
     InvertedIndex,
     Mutation,
     Query,
-    ShardedIndex,
     ShardedQueryService,
 )
-from repro.core.distributed import worker_payload
 from repro.core.supervision import SupervisionPolicy
 from repro.errors import ValidationError
-from repro.service import AsyncGateway, FaultPlan, FaultSpec, TokenBucket
+from repro.service import (
+    AsyncGateway,
+    DurabilityManager,
+    FaultPlan,
+    FaultSpec,
+    TokenBucket,
+)
 from repro.service.gateway import run_self_test
+from repro.storage.durability import DEFAULT_SYNC_CHUNK
 
 
 def make_dataset(n=60, m=6, seed=0):
@@ -82,6 +88,55 @@ class TestShardedQueryService:
         finally:
             service.close()
 
+    def test_only_the_sequential_shard_executor_remains(self):
+        with pytest.raises(ValidationError, match="shard_executor"):
+            ShardedQueryService(make_dataset(), shard_executor="thread")
+        make_service(shard_executor="sequential").close()
+
+    @pytest.mark.parametrize("supervision", [False, True])
+    def test_concurrent_queries_match_the_ta_oracle(self, supervision):
+        """Threads sharing one sharded service get the oracle's answers."""
+        data = make_dataset(n=400, m=6, seed=5)
+        rng = np.random.default_rng(11)
+        queries = [
+            Query(dims, rng.uniform(0.1, 0.9, size=len(dims)))
+            for dims in ([0, 2, 4], [1, 3], [0, 1, 5], [2, 3, 4, 5]) * 6
+        ]
+        oracle = ImmutableRegionEngine(InvertedIndex(make_dataset(n=400, m=6, seed=5)))
+        expected = oracle.compute_many(queries, 5, topk_mode="ta")
+        service = ShardedQueryService(
+            data, n_shards=4, reuse="off", supervision=supervision
+        )
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        answers = [None] * len(queries)
+
+        def client(t):
+            barrier.wait()
+            for i in range(t, len(queries), n_threads):
+                answers[i] = service.execute_tiered(queries[i], 5)
+
+        threads = [
+            threading.Thread(target=client, args=(t,)) for t in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        for answer, ref in zip(answers, expected):
+            got, tier = answer
+            assert tier == "computed"
+            assert got.result.ids == ref.result.ids
+            assert list(got.result.scores) == list(ref.result.scores)
+            assert got.sequences == ref.sequences
+
     def test_engines_share_one_transport(self):
         service = make_service()
         try:
@@ -105,8 +160,12 @@ class TestShardedQueryService:
             touched = []
             transport = service._shard_transport
             original_call, original_map = transport.call, transport.map
-            transport.call = lambda *a: (touched.append(a), original_call(*a))[1]
-            transport.map = lambda calls: (touched.append(calls), original_map(calls))[1]
+            transport.call = lambda *a, **kw: (
+                touched.append(a), original_call(*a, **kw)
+            )[1]
+            transport.map = lambda calls, **kw: (
+                touched.append(calls), original_map(calls, **kw)
+            )[1]
             computation, tier = service.execute_tiered(perturbed, 5)
             assert tier == "region"
             assert touched == []  # served before the shards existed, as it were
@@ -160,44 +219,6 @@ class TestShardedQueryService:
             assert service.index.epoch == 1
         finally:
             service.close()
-
-    @pytest.mark.parametrize("shard_executor", ["thread", "process"])
-    def test_pooled_shard_executors_match_sequential(self, shard_executor):
-        sequential = make_service()
-        pooled = make_service(shard_executor=shard_executor, n_shards=2)
-        try:
-            ref = sequential.execute(QUERY, 5)
-            got = pooled.execute(QUERY, 5)
-            assert ref.result.ids == got.result.ids
-            for dim in ref.sequences:
-                assert ref.immutable_interval(dim) == got.immutable_interval(dim)
-        finally:
-            sequential.close()
-            pooled.close()
-
-
-class TestWorkerPayload:
-    def test_process_worker_payload_scales_with_shard_not_dataset(self):
-        """Each shard worker ships only its own rows (regression: the
-        window-pool workers pickle the *full* dataset per worker)."""
-        data = make_dataset(n=2_000, m=8, seed=3)
-        sharded = ShardedIndex(data, 4)
-        full = len(pickle.dumps(data))
-        shard_payloads = [
-            len(pickle.dumps(worker_payload(shard))) for shard in sharded.shards
-        ]
-        assert max(shard_payloads) < full / 2  # ~n/4 each, not n
-        assert sum(shard_payloads) < full * 1.25  # overhead stays marginal
-
-    def test_payload_halves_when_shards_double(self):
-        data = make_dataset(n=2_000, m=8, seed=3)
-        two = max(
-            len(pickle.dumps(worker_payload(s))) for s in ShardedIndex(data, 2).shards
-        )
-        eight = max(
-            len(pickle.dumps(worker_payload(s))) for s in ShardedIndex(data, 8).shards
-        )
-        assert eight < two / 2
 
 
 class TestAsyncGateway:
@@ -528,6 +549,51 @@ class TestServerRoundTrip:
         assert reply["ok"] is False and reply["code"] == "BAD_REQUEST"
         assert reply["error"] == "request_too_large"
         assert answer["ok"] and answer["tier"] == "computed"
+
+
+    def test_oversized_sync_chunk_is_refused_and_connection_serves_on(
+        self, tmp_path
+    ):
+        durability = DurabilityManager(tmp_path / "peer", snapshot_interval=0)
+        service = make_service(durability=durability)
+        service.snapshot_now()
+        gateway = AsyncGateway(service, k=5)
+
+        async def run():
+            host, port = await gateway.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(host, port)
+
+            async def request(payload):
+                writer.write(json.dumps(payload).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await asyncio.wait_for(reader.readline(), 10))
+
+            try:
+                manifest = await request({"op": "sync_manifest"})
+                name = sorted(manifest["manifest"]["artifacts"])[0]
+                chunk = {"op": "sync_chunk", "name": name, "offset": 0}
+                replies = [
+                    await request({**chunk, "length": 10 * 1024 * 1024}),
+                    await request({**chunk, "length": 0}),
+                    await request({**chunk, "length": DEFAULT_SYNC_CHUNK}),
+                    await request({"op": "ping"}),
+                ]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await gateway.stop()
+            return replies
+
+        try:
+            too_long, empty, full, ping = asyncio.run(run())
+        finally:
+            service.close()
+            durability.close()
+        for refused in (too_long, empty):
+            assert refused["ok"] is False and refused["code"] == "BAD_REQUEST"
+            assert "length" in refused["message"]
+        assert full["ok"] and full["op"] == "sync_chunk"
+        assert ping["ok"]
 
 
 def test_cli_self_test(capsys):

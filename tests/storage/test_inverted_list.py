@@ -110,3 +110,50 @@ class TestListCursor:
         second = ListCursor(posting_list)
         first.pull(counters)
         assert second.position == 0
+
+
+class _PatchOnInvert(np.ndarray):
+    """A tombstone mask whose ``~`` runs a one-shot patch after reading."""
+
+    hook = None
+
+    def __invert__(self):
+        keep = np.invert(np.asarray(self))
+        hook, self.hook = self.hook, None
+        if hook is not None:
+            hook()
+        return keep
+
+
+class TestMemoRace:
+    """A memo built across a patch is served once but never stored.
+
+    Writes exclude scans through the service's writer gate, but a reader
+    outside the gate (a timed-out supervised shard call that is still
+    running) can overlap ``insert_entry``/``remove_entry``.  The patch is
+    forced between the memo's build and its store.
+    """
+
+    def test_live_arrays_built_across_a_patch_are_not_kept(self, posting_list):
+        posting_list.remove_entry(12, 0.5)
+        dead = posting_list._dead.view(_PatchOnInvert)
+        dead.hook = lambda: posting_list.remove_entry(10, 0.2)
+        posting_list._dead = dead
+        posting_list.ids  # builds from the pre-patch mask
+        assert posting_list.ids.tolist() == [11, 13]
+        assert posting_list.values.tolist() == [0.9, 0.9]
+
+    def test_id_lookup_built_across_a_patch_is_not_kept(self, posting_list):
+        build = posting_list._live_arrays
+
+        def build_then_patch():
+            del posting_list._live_arrays  # one shot
+            arrays = build()
+            posting_list.insert_entry(14, 0.7)
+            return arrays
+
+        posting_list._live_arrays = build_then_patch
+        posting_list.position_of(12)  # builds from the pre-patch arrays
+        assert posting_list.position_of(14) == 2
+        assert posting_list.position_of(12) == 3
+        assert posting_list.position_of(10) == 4
